@@ -4,8 +4,8 @@ Subcommands: build, decode, attack, experiment, sweep, bounds.  Output
 is JSON (or CSV for experiment/sweep with --format csv) on stdout or
 --out; every run echoes its fully resolved configuration.  Errors leave
 a machine-readable object on stderr with a distinct exit code per class:
-2 usage, 3 bad parameters, 4 infeasible size, 5 failed build or
-verification, 6 I/O.
+2 usage, 3 bad parameters or queries and malformed structure or pattern
+files, 4 infeasible size, 5 failed build or verification, 6 I/O.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
-from .bits import BitString, BoundedWeightSpace
+from .bits import BitString
 from . import bounds as bounds_mod
 from .errors import (
     ConstructionError,
@@ -97,28 +97,22 @@ def make_scheme(cfg: Dict, seed: int):
             return EqualityScheme(x, code=code, balanced=not cfg.get("raw", False))
         return EqualityScheme(x, balanced=not cfg.get("raw", False))
     if scheme_id == "ip-table":
-        return TableIp(x, _require(cfg, "r"), cfg.get("p") or 1)
+        return TableIp(x, _require(cfg, "r"), **_given(cfg, "p"))
     if scheme_id == "ip-poly":
-        return PolySharedIp(x, _require(cfg, "r"), cfg.get("p") or 2)
+        # PolySharedIp has no default p; two blocks is the smallest
+        p = cfg.get("p")
+        return PolySharedIp(x, _require(cfg, "r"), 2 if p is None else p)
     if scheme_id == "substring":
-        return SubstringHadamard(x, _require(cfg, "r"), cfg.get("t") or 1)
+        return SubstringHadamard(x, _require(cfg, "r"), **_given(cfg, "t"))
     if scheme_id == "mem-1p":
         st = OneProbeMembership.build(
-            cfg["n"],
-            _require(cfg, "s"),
-            cfg.get("eps") or 0.1,
-            seed=seed,
+            cfg["n"], _require(cfg, "s"), seed=seed, **_given(cfg, "eps")
         )
         return st.instance(x)
     st = BlockCodedMembership.build(
-        cfg["n"],
-        _require(cfg, "s"),
-        eps=cfg.get("eps") or 0.25,
-        a=cfg.get("a") or 14,
-        b=cfg.get("b") or 288,
-        seed=seed,
+        cfg["n"], _require(cfg, "s"), seed=seed, **_given(cfg, "eps", "a", "b")
     )
-    return st.instance(x, decoder=cfg.get("decoder") or "block")
+    return st.instance(x, **_given(cfg, "decoder"))
 
 
 def _require(cfg: Dict, key: str):
@@ -127,10 +121,9 @@ def _require(cfg: Dict, key: str):
     return cfg[key]
 
 
-def parse_query(scheme, text: str):
-    if isinstance(scheme, (HadamardIp, EqualityScheme, TableIp, PolySharedIp, SubstringHadamard)):
-        return BitString.from01(text)
-    return int(text)
+def _given(cfg: Dict, *keys: str) -> Dict:
+    """The flags among keys that were set; unset ones keep their defaults."""
+    return {k: cfg[k] for k in keys if cfg.get(k) is not None}
 
 
 def pick_queries(scheme, selector: str, seed: int) -> List:
@@ -145,26 +138,8 @@ def pick_queries(scheme, selector: str, seed: int) -> List:
     if selector.startswith("sample:"):
         k = int(selector.split(":", 1)[1])
         rng = stream("queries", seed)
-        return [_random_query(scheme, rng) for _ in range(k)]
-    return [parse_query(scheme, part) for part in selector.split(",") if part]
-
-
-def _random_query(scheme, rng):
-    if isinstance(scheme, EqualityScheme):
-        # keep the positive query represented
-        if rng.random() < 0.5:
-            return scheme.x
-        return BitString.random(scheme.x.n, rng)
-    if isinstance(scheme, HadamardIp):
-        return BitString.random(scheme.x.n, rng)
-    if isinstance(scheme, (TableIp, PolySharedIp, SubstringHadamard)):
-        space = BoundedWeightSpace(scheme.x.n, scheme.r)
-        return space.unrank(rng.randrange(space.size()))
-    from .membership import ComposedInstance
-
-    if isinstance(scheme, ComposedInstance) and scheme.structure.good_indices:
-        return rng.choice(scheme.structure.good_indices)
-    return rng.randrange(1, scheme.structure.n + 1)
+        return [scheme.random_query(rng) for _ in range(k)]
+    return [scheme.parse_query(part) for part in selector.split(",") if part]
 
 
 def _resolve_budget(args, length: int) -> int:
@@ -221,7 +196,7 @@ def cmd_build(args) -> int:
 def cmd_decode(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     scheme = load_structure(args.structure)
-    query = parse_query(scheme, args.query)
+    query = scheme.parse_query(args.query)
     pattern = CorruptionPattern.empty()
     if args.pattern:
         pattern, n = load_pattern(args.pattern)
@@ -246,7 +221,7 @@ def cmd_attack(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     scheme = load_structure(args.structure)
     budget = _resolve_budget(args, scheme.codeword.n)
-    target = parse_query(scheme, args.target) if args.target else None
+    target = scheme.parse_query(args.target) if args.target else None
     strategy = AdversaryStrategy(
         kind=args.kind, budget=budget, seed=seed, target=target
     )

@@ -72,15 +72,11 @@ def decode_ip(oracle: ProbeOracle, y: BitString, rng) -> int:
     return ip_with_coin(oracle, y, rng.randrange(1 << y.n))
 
 
-def decode_bit(oracle: ProbeOracle, s: int, i: int, rng) -> int:
-    """Recover bit i of the encoded message; the i-th unit query."""
-    return decode_ip(oracle, BitString.unit(s, i), rng)
-
-
 class HadamardIp(Scheme):
     """Encoded instance answering inner-product queries y -> x.y mod 2."""
 
     name = "hadamard-ip"
+    kind = "hadamard-ip"
 
     def __init__(self, x: BitString):
         self.x = x
@@ -104,10 +100,14 @@ class HadamardIp(Scheme):
         return ip_with_coin(oracle, query, coins)
 
     def truth(self, query: BitString) -> int:
+        self.check_query(query)
         return dot_mod2(self.x, query)
 
     def queries(self):
         return (BitString.from_int(self.x.n, v) for v in range(self.code.length))
+
+    def random_query(self, rng) -> BitString:
+        return BitString.random(self.x.n, rng)
 
     def params(self) -> Dict[str, object]:
         return {"s": self.x.n, "x": self.x.to01()}
@@ -305,6 +305,8 @@ class EqualityScheme(Scheme):
     1/2 + gamma + delta.
     """
 
+    kind = "equality"
+
     def __init__(self, x: BitString, code=None, balanced: bool = True):
         self.x = x
         self.code = code if code is not None else HadamardEqualityCode(x.n)
@@ -313,6 +315,22 @@ class EqualityScheme(Scheme):
         self.balanced = balanced
         self._codeword = Codeword(self.code.encode(x))
         self.name = "equality-balanced" if balanced else "equality-raw"
+
+    def header(self) -> Dict[str, object]:
+        head = {"balanced": self.balanced, "code": self.code.describe()}
+        if isinstance(self.code, RandomLinearCode):
+            head["rows"] = [row.to01() for row in self.code.rows]
+        return head
+
+    @classmethod
+    def from_header(cls, head: Dict) -> "EqualityScheme":
+        desc = head["code"]
+        if desc["kind"] == "hadamard":
+            code = HadamardEqualityCode(desc["s"])
+        else:
+            rows = [BitString.from01(r) for r in head["rows"]]
+            code = RandomLinearCode(desc["s"], desc["length"], rows=rows)
+        return cls(BitString.from01(head["x"]), code=code, balanced=head["balanced"])
 
     @property
     def codeword(self) -> Codeword:
@@ -342,9 +360,14 @@ class EqualityScheme(Scheme):
         return int(agree and c < 2)
 
     def truth(self, query: BitString) -> int:
-        if query.n != self.x.n:
-            raise ParameterError("query length mismatch")
+        self.check_query(query)
         return int(query == self.x)
+
+    def random_query(self, rng) -> BitString:
+        # keep the positive query represented
+        if rng.random() < 0.5:
+            return self.x
+        return BitString.random(self.x.n, rng)
 
     def params(self) -> Dict[str, object]:
         return {

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from scipy.stats import beta as _beta_dist
@@ -23,8 +22,6 @@ from scipy.stats import beta as _beta_dist
 from .bits import BitString
 from .errors import ParameterError
 from .hadamard import HadamardIp, pairwise_error_counts
-from .inner_product import SubstringHadamard
-from .membership import ComposedInstance, MembershipInstance
 from .oracle import (
     EXACT_STATE_LIMIT,
     CorruptionPattern,
@@ -32,7 +29,7 @@ from .oracle import (
     Scheme,
     exact_error,
 )
-from .seeding import derive_seed, stream
+from .seeding import stream
 
 ADVERSARY_KINDS = (
     "none",
@@ -89,24 +86,19 @@ def _emit(strategy: AdversaryStrategy, positions: Iterable[int]) -> CorruptionPa
     return pattern
 
 
-def _target_index(strategy, target, fallback) -> int:
-    if target is not None:
-        return target
-    if strategy.target is not None:
-        return strategy.target
-    return fallback
-
-
 def attack(
     strategy: AdversaryStrategy, scheme: Scheme, target=None
 ) -> CorruptionPattern:
     """Concrete flip pattern for this scheme, within the strategy budget.
 
-    Strategy kinds that need structure the scheme does not have (for
-    example piece_killer on a membership instance) are rejected.
+    The target defaults to the strategy's.  Strategy kinds that need
+    structure the scheme does not have (for example piece_killer on a
+    membership instance) are rejected.
     """
     n = scheme.codeword.n
     kind = strategy.kind
+    if target is None:
+        target = strategy.target
     if kind == "none":
         return _emit(strategy, ())
     if kind == "random_flips":
@@ -114,78 +106,11 @@ def attack(
         return _emit(
             strategy, rng.sample(range(1, n + 1), min(strategy.budget, n))
         )
-    if kind == "probe_set_killer":
-        if not isinstance(scheme, MembershipInstance):
-            raise ParameterError("probe_set_killer applies to one-probe membership")
-        i = _target_index(strategy, target, 1)
-        ps = scheme.structure.probe_set(i)
-        return _emit(strategy, ps[: strategy.budget])
-    if kind == "block_killer":
-        if not isinstance(scheme, ComposedInstance):
-            raise ParameterError("block_killer applies to block-composed membership")
-        return _block_killer(strategy, scheme, target)
-    if kind == "piece_killer":
-        if not isinstance(scheme, SubstringHadamard):
-            raise ParameterError("piece_killer applies to the substring structure")
-        return _piece_killer(strategy, scheme, target)
     if kind == "greedy_local":
         return _greedy_local(strategy, scheme, target)
-    raise ParameterError("unknown adversary kind %r" % (kind,))
-
-
-def _block_killer(strategy, scheme: ComposedInstance, target) -> CorruptionPattern:
-    """Flip the inner-code positions that invert the targeted index's
-    bits, block by block, heaviest blocks first."""
-    st = scheme.structure
-    i = _target_index(strategy, target, st.good_indices[0] if st.good_indices else 1)
-    counts = st.block_counts(i)
-    pos0 = st.perm[st.base._sets0[i - 1]]
-    locals_by_block: Dict[int, int] = {}
-    for p0 in pos0:
-        k = int(p0) // st.a
-        locals_by_block[k] = locals_by_block.get(k, 0) ^ (1 << (st.a - 1 - int(p0) % st.a))
-    order = sorted(
-        (k for k in locals_by_block), key=lambda k: (-int(counts[k]), k)
-    )
-    out: List[int] = []
-    left = strategy.budget
-    for k in order:
-        if left <= 0:
-            break
-        v = locals_by_block[k]
-        base = k * st.code.length
-        for z in range(st.code.length):
-            if (z & v).bit_count() & 1:
-                out.append(base + z + 1)
-                left -= 1
-                if left <= 0:
-                    break
-    return _emit(strategy, out)
-
-
-def _piece_killer(strategy, scheme: SubstringHadamard, target) -> CorruptionPattern:
-    """Corrupt a quarter of one piece: all z with two chosen coordinates
-    set, which makes both of those bits decode to a fair coin."""
-    if scheme.chunk < 2:
-        raise ParameterError("piece_killer needs pieces with at least 2 bits")
-    i = _target_index(strategy, target, 1)
-    if isinstance(i, BitString):
-        # a query mask aims the attack at its first requested bit
-        sup = i.support()
-        i = sup[0] if sup else 1
-    k, e = scheme.bit_location(i)
-    e2 = e % scheme.chunk + 1
-    mask = (1 << (scheme.chunk - e)) | (1 << (scheme.chunk - e2))
-    base = scheme.piece_offset(k)
-    out = []
-    left = strategy.budget
-    for z in range(scheme.piece_len):
-        if left <= 0:
-            break
-        if z & mask == mask:
-            out.append(base + z + 1)
-            left -= 1
-    return _emit(strategy, out)
+    if kind in scheme.attacks:
+        return _emit(strategy, getattr(scheme, kind)(strategy.budget, target))
+    raise ParameterError("%s does not apply to %s" % (kind, scheme.name))
 
 
 def _greedy_objective(scheme, queries, trials, seed):
@@ -230,8 +155,6 @@ def _greedy_local(strategy, scheme, target) -> CorruptionPattern:
     rng = stream("attack-greedy", strategy.seed)
     if target is not None:
         queries = [target]
-    elif strategy.target is not None:
-        queries = [strategy.target]
     else:
         queries = list(scheme.queries())[: strategy.eval_queries]
     objective = _greedy_objective(scheme, queries, strategy.eval_trials, strategy.seed)

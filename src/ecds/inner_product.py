@@ -29,8 +29,25 @@ from .bits import (
     split_query,
 )
 from .errors import InfeasibleSizeError, ParameterError
-from .hadamard import MAX_EXPONENT, HadamardCode, ip_with_coin
+from .hadamard import MAX_EXPONENT, HadamardCode
 from .oracle import Codeword, Scheme
+
+
+class LowWeightQueries(Scheme):
+    """Queries are the length-n strings of weight at most r."""
+
+    def check_query(self, query: BitString) -> None:
+        super().check_query(query)
+        if query.weight > self.r:
+            raise ParameterError("query weight exceeds r")
+
+    def queries(self):
+        return iter(BoundedWeightSpace(self.x.n, self.r))
+
+    def random_query(self, rng) -> BitString:
+        space = BoundedWeightSpace(self.x.n, self.r)
+        return space.unrank(rng.randrange(space.size()))
+
 
 # -- plain table ------------------------------------------------------
 
@@ -45,7 +62,7 @@ def table_ip_length(n: int, r: int, p: int = 1) -> int:
     return ball_size(n, math.ceil(r / p))
 
 
-class TableIp(Scheme):
+class TableIp(LowWeightQueries):
     """Table of x.z for every z of weight <= ceil(r/p); p-probe decode.
 
     The decoder splits y into p pieces of weight <= ceil(r/p), reads the
@@ -54,8 +71,12 @@ class TableIp(Scheme):
     """
 
     name = "ip-table"
+    kind = "ip-table"
+    header_fields = ("r", "p")
 
     def __init__(self, x: BitString, r: int, p: int = 1):
+        if p < 1:
+            raise ParameterError("need p >= 1")
         self.x = x
         self.r = r
         self.p = p
@@ -94,24 +115,15 @@ class TableIp(Scheme):
         return [self.space.rank(piece) + 1 for piece in split_query(query, self.p)]
 
     def decode_with_coins(self, oracle, query: BitString, coins) -> int:
-        self._check(query)
+        self.check_query(query)
         out = 0
         for pos in self.probe_positions(query):
             out ^= oracle.probe(pos)
         return out
 
-    def _check(self, query: BitString) -> None:
-        if query.n != self.x.n:
-            raise ParameterError("query length mismatch")
-        if query.weight > self.r:
-            raise ParameterError("query weight exceeds r")
-
     def truth(self, query: BitString) -> int:
-        self._check(query)
+        self.check_query(query)
         return dot_mod2(self.x, query)
-
-    def queries(self):
-        return iter(BoundedWeightSpace(self.x.n, self.r))
 
     def params(self) -> Dict[str, object]:
         return {"n": self.x.n, "r": self.r, "p": self.p, "x": self.x.to01()}
@@ -126,7 +138,7 @@ def substring_length(n: int, r: int) -> int:
     return r * (1 << math.ceil(n / r))
 
 
-class SubstringHadamard(Scheme):
+class SubstringHadamard(LowWeightQueries):
     """Answers x restricted to the one-positions of y, weight(y) <= r.
 
     x is cut into r chunks of c = ceil(n/r) bits (the last zero-padded)
@@ -138,6 +150,9 @@ class SubstringHadamard(Scheme):
     """
 
     name = "substring-hadamard"
+    kind = "substring"
+    header_fields = ("r", "t")
+    attacks = ("piece_killer",)
 
     def __init__(self, x: BitString, r: int, t: int = 1):
         if t < 1 or t % 2 == 0:
@@ -187,18 +202,12 @@ class SubstringHadamard(Scheme):
             raise ParameterError("piece index out of range")
         return (k - 1) * self.piece_len
 
-    def _check(self, query: BitString) -> None:
-        if query.n != self.x.n:
-            raise ParameterError("query length mismatch")
-        if query.weight > self.r:
-            raise ParameterError("query weight exceeds r")
-
     def probe_budget(self, query) -> int:
-        self._check(query)
+        self.check_query(query)
         return 2 * self.t * query.weight
 
     def coin_count(self, query) -> int:
-        self._check(query)
+        self.check_query(query)
         return self.piece_len ** (self.t * query.weight)
 
     def coin_from_index(self, query, idx: int) -> Tuple[int, ...]:
@@ -214,7 +223,7 @@ class SubstringHadamard(Scheme):
         return tuple(rng.randrange(self.piece_len) for _ in range(draws))
 
     def decode_with_coins(self, oracle, query: BitString, coins) -> BitString:
-        self._check(query)
+        self.check_query(query)
         out = 0
         for w, i in enumerate(query.support()):
             k, e = self.bit_location(i)
@@ -229,11 +238,30 @@ class SubstringHadamard(Scheme):
         return BitString.from_int(query.weight, out)
 
     def truth(self, query: BitString) -> BitString:
-        self._check(query)
+        self.check_query(query)
         return extract_substring(self.x, query)
 
-    def queries(self):
-        return iter(BoundedWeightSpace(self.x.n, self.r))
+    def piece_killer(self, budget: int, target=None) -> List[int]:
+        """Corrupt a quarter of one piece: all z with two chosen coordinates
+        set, which makes both of those bits decode to a fair coin.  The
+        target is a bit index or a query mask, aiming at its first bit."""
+        if self.chunk < 2:
+            raise ParameterError("piece_killer needs pieces with at least 2 bits")
+        i = 1 if target is None else target
+        if isinstance(i, BitString):
+            sup = i.support()
+            i = sup[0] if sup else 1
+        k, e = self.bit_location(i)
+        e2 = e % self.chunk + 1
+        mask = (1 << (self.chunk - e)) | (1 << (self.chunk - e2))
+        base = self.piece_offset(k)
+        out = []
+        for z in range(self.piece_len):
+            if len(out) >= budget:
+                break
+            if z & mask == mask:
+                out.append(base + z + 1)
+        return out
 
     def params(self) -> Dict[str, object]:
         return {"n": self.x.n, "r": self.r, "t": self.t, "x": self.x.to01()}
@@ -277,7 +305,7 @@ def poly_ip_length(n: int, r: int, p: int) -> int:
     return poly_ip_geometry(n, r, p)["length"]
 
 
-class PolySharedIp(Scheme):
+class PolySharedIp(LowWeightQueries):
     """p-probe inner products via additively shared polynomial evaluation.
 
     Data x becomes the multilinear polynomial p_x(z) = sum_i x_i *
@@ -294,6 +322,8 @@ class PolySharedIp(Scheme):
     """
 
     name = "ip-poly"
+    kind = "ip-poly"
+    header_fields = ("r", "p")
 
     def __init__(self, x: BitString, r: int, p: int):
         geo = poly_ip_geometry(x.n, r, p)
@@ -333,11 +363,8 @@ class PolySharedIp(Scheme):
 
     def point_value(self, query: BitString) -> int:
         """The rm-bit evaluation point for a query, copies left to right."""
-        if query.n != self.x.n:
-            raise ParameterError("query length mismatch")
+        self.check_query(query)
         sup = query.support()
-        if len(sup) > self.r:
-            raise ParameterError("query weight exceeds r")
         pad = self.chi(self.dummy) if self.dummy is not None else 0
         copies = [self.chi(self.subsets[i - 1]) for i in sup]
         copies += [pad] * (self.r - len(sup))
@@ -433,12 +460,8 @@ class PolySharedIp(Scheme):
         return out
 
     def truth(self, query: BitString) -> int:
-        if query.weight > self.r:
-            raise ParameterError("query weight exceeds r")
+        self.check_query(query)
         return dot_mod2(self.x, query)
-
-    def queries(self):
-        return iter(BoundedWeightSpace(self.x.n, self.r))
 
     # -- reference evaluators (used by identity checks) ----------------
 

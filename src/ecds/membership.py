@@ -22,9 +22,9 @@ fair coin, so adversaries must corrupt many blocks to matter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -340,16 +340,48 @@ def one_probe_decode(structure: OneProbeMembership, oracle: ProbeOracle, i: int,
     return oracle.probe(ps[rng.randrange(len(ps))])
 
 
-class MembershipInstance(Scheme):
+class IndexQueries(Scheme):
+    """Queries are indices into the encoded set x, written in decimal."""
+
+    def parse_query(self, text: str) -> int:
+        query = int(text)
+        self.check_query(query)
+        return query
+
+    def truth(self, query: int) -> int:
+        self.check_query(query)
+        return self.x.bit(query)
+
+
+class MembershipInstance(IndexQueries):
     """Encoded set with the 1-probe decoder; queries are indices 1..n."""
 
     name = "membership-1probe"
+    kind = "membership-1p"
+    attacks = ("probe_set_killer",)
 
     def __init__(self, structure, x, y, agreements):
         self.structure = structure
         self.x = x
         self.agreements = agreements
         self._codeword = Codeword(y)
+
+    def header(self) -> Dict[str, object]:
+        st = self.structure
+        return {
+            "n": st.n,
+            "s": st.s,
+            "eps": st.eps,
+            "n_prime": st.n_prime,
+            "probe_sets": (st._sets0 + 1).tolist(),
+        }
+
+    @classmethod
+    def from_header(cls, head: Dict) -> "MembershipInstance":
+        st = OneProbeMembership(
+            head["n"], head["s"], head["eps"], head["probe_sets"], head["n_prime"]
+        )
+        return st.instance(BitString.from01(head["x"]))
 
     @property
     def codeword(self) -> Codeword:
@@ -367,11 +399,20 @@ class MembershipInstance(Scheme):
     def decode_with_coins(self, oracle, query: int, coins: int) -> int:
         return oracle.probe(self.structure.probe_set(query)[coins])
 
-    def truth(self, query: int) -> int:
-        return self.x.bit(query)
+    def check_query(self, query: int) -> None:
+        if not 1 <= query <= self.structure.n:
+            raise ParameterError("index out of range")
 
     def queries(self):
         return iter(range(1, self.structure.n + 1))
+
+    def random_query(self, rng) -> int:
+        return rng.randrange(1, self.structure.n + 1)
+
+    def probe_set_killer(self, budget: int, target=None) -> Tuple[int, ...]:
+        """Flip the first positions of the target's probe set (index 1 by
+        default): each flip raises its decoding error by 1/d."""
+        return self.structure.probe_set(1 if target is None else target)[:budget]
 
     def params(self) -> Dict[str, object]:
         out = self.structure.params()
@@ -496,6 +537,8 @@ class BlockCodedMembership:
         retries: int = OneProbeMembership.GRAPH_RETRIES,
         verify_limit: int = 100_000,
     ) -> "BlockCodedMembership":
+        if a < 1 or b < 1:
+            raise ParameterError("need a >= 1 and b >= 1")
         if a > MAX_EXPONENT:
             raise InfeasibleSizeError("block length 2^%d is beyond desk scale" % a)
         universe = universe_factor * public_n
@@ -576,7 +619,7 @@ class BlockCodedMembership:
         }
 
 
-class ComposedInstance(Scheme):
+class ComposedInstance(IndexQueries):
     """Encoded composed structure; queries are public indices.
 
     decoder="block": pick a uniform block; when it holds exactly one
@@ -584,6 +627,9 @@ class ComposedInstance(Scheme):
     coin string.  decoder="direct": pick a uniform element of P_i and
     2-probe decode it inside its block; no coin fallback.
     """
+
+    kind = "membership-composed"
+    attacks = ("block_killer",)
 
     def __init__(self, structure, x, codeword, agreements, decoder="block"):
         if decoder not in ("block", "direct"):
@@ -595,11 +641,34 @@ class ComposedInstance(Scheme):
         self._codeword = codeword
         self.name = "membership-composed-" + decoder
 
+    def header(self) -> Dict[str, object]:
+        st = self.structure
+        return {
+            "decoder": self.decoder,
+            "public_n": st.public_n,
+            "universe": st.base.n,
+            "s": st.base.s,
+            "eps": st.base.eps,
+            "a": st.a,
+            "b": st.b,
+            "n_prime": st.base.n_prime,
+            "probe_sets": (st.base._sets0 + 1).tolist(),
+            "perm": st.perm.tolist(),
+        }
+
+    @classmethod
+    def from_header(cls, head: Dict) -> "ComposedInstance":
+        base = OneProbeMembership(
+            head["universe"], head["s"], head["eps"], head["probe_sets"], head["n_prime"]
+        )
+        st = BlockCodedMembership(head["public_n"], base, head["perm"], head["a"])
+        return st.instance(BitString.from01(head["x"]), decoder=head["decoder"])
+
     @property
     def codeword(self) -> Codeword:
         return self._codeword
 
-    def _check(self, query: int) -> None:
+    def check_query(self, query: int) -> None:
         if not 1 <= query <= self.structure.public_n:
             raise ParameterError("query outside public domain")
 
@@ -622,7 +691,7 @@ class ComposedInstance(Scheme):
         return (j, z)
 
     def decode_with_coins(self, oracle, query: int, coins):
-        self._check(query)
+        self.check_query(query)
         st = self.structure
         if self.decoder == "block":
             k, fb, z = coins
@@ -639,12 +708,39 @@ class ComposedInstance(Scheme):
         unit = 1 << (st.a - e)
         return oracle.probe(base + z + 1) ^ oracle.probe(base + (z ^ unit) + 1)
 
-    def truth(self, query: int) -> int:
-        self._check(query)
-        return self.x.bit(query)
-
     def queries(self):
         return iter(self.structure.good_indices)
+
+    def random_query(self, rng) -> int:
+        st = self.structure
+        if st.good_indices:
+            return rng.choice(st.good_indices)
+        return rng.randrange(1, st.public_n + 1)
+
+    def block_killer(self, budget: int, target=None) -> List[int]:
+        """Flip the inner-code positions that invert the target index's
+        bits (the first good index by default), block by block, heaviest
+        blocks first."""
+        st = self.structure
+        if target is None:
+            target = st.good_indices[0] if st.good_indices else 1
+        counts = st.block_counts(target)
+        locals_by_block: Dict[int, int] = {}
+        for p0 in st.perm[st.base._sets0[target - 1]]:
+            k = int(p0) // st.a
+            locals_by_block[k] = locals_by_block.get(k, 0) ^ (1 << (st.a - 1 - int(p0) % st.a))
+        out: List[int] = []
+        for k in sorted(locals_by_block, key=lambda k: (-int(counts[k]), k)):
+            if len(out) >= budget:
+                break
+            v = locals_by_block[k]
+            base = k * st.code.length
+            for z in range(st.code.length):
+                if (z & v).bit_count() & 1:
+                    out.append(base + z + 1)
+                    if len(out) >= budget:
+                        break
+        return out
 
     def params(self) -> Dict[str, object]:
         out = self.structure.params()

@@ -174,9 +174,19 @@ class Scheme:
     Coin spaces may be astronomically large; sampling draws an index with
     randrange, which handles big integers, so only enumeration needs the
     space to be small.
+
+    A storable scheme also describes itself: `kind` tags its file header,
+    header()/from_header() carry the fields beyond kind and x (by default
+    the constructor arguments after x, named in `header_fields`), queries
+    are validated by check_query, read from text by parse_query and drawn
+    by random_query, and `attacks` names the structure-specific
+    adversaries it implements as methods (budget, target) -> positions.
     """
 
     name = "scheme"
+    kind: Optional[str] = None
+    header_fields: Tuple[str, ...] = ()
+    attacks: Tuple[str, ...] = ()
 
     @property
     def codeword(self) -> Codeword:
@@ -215,6 +225,27 @@ class Scheme:
 
     def params(self) -> Dict[str, object]:
         return {}
+
+    def header(self) -> Dict[str, object]:
+        if self.kind is None:
+            raise ParameterError("no storage format for %r" % type(self).__name__)
+        return {k: getattr(self, k) for k in self.header_fields}
+
+    @classmethod
+    def from_header(cls, head: Dict) -> "Scheme":
+        return cls(BitString.from01(head["x"]), *(head[k] for k in cls.header_fields))
+
+    def check_query(self, query) -> None:
+        """Refuse a query this scheme does not answer; by default queries
+        are bit strings as long as the data x."""
+        if query.n != self.x.n:
+            raise ParameterError("query length mismatch")
+
+    def parse_query(self, text: str):
+        """A query written as 0/1 text, refused unless this scheme answers it."""
+        query = BitString.from01(text)
+        self.check_query(query)
+        return query
 
     def query_label(self, query) -> str:
         if isinstance(query, BitString):

@@ -16,136 +16,61 @@ from typing import Dict, Tuple
 
 from .bits import BitString
 from .errors import ParameterError
-from .hadamard import EqualityScheme, HadamardEqualityCode, HadamardIp, RandomLinearCode
+from .hadamard import EqualityScheme, HadamardIp
 from .inner_product import PolySharedIp, SubstringHadamard, TableIp
-from .membership import BlockCodedMembership, ComposedInstance, OneProbeMembership
+from .membership import ComposedInstance, MembershipInstance
 from .oracle import CorruptionPattern
 
 FORMAT = "ecds-structure"
 PATTERN_FORMAT = "ecds-pattern"
 
-
-def _header_of(scheme) -> Dict[str, object]:
-    if isinstance(scheme, HadamardIp):
-        return {"kind": "hadamard-ip", "x": scheme.x.to01()}
-    if isinstance(scheme, EqualityScheme):
-        head = {
-            "kind": "equality",
-            "x": scheme.x.to01(),
-            "balanced": scheme.balanced,
-            "code": scheme.code.describe(),
-        }
-        if isinstance(scheme.code, RandomLinearCode):
-            head["rows"] = [row.to01() for row in scheme.code.rows]
-        return head
-    if isinstance(scheme, TableIp):
-        return {"kind": "ip-table", "x": scheme.x.to01(), "r": scheme.r, "p": scheme.p}
-    if isinstance(scheme, PolySharedIp):
-        return {"kind": "ip-poly", "x": scheme.x.to01(), "r": scheme.r, "p": scheme.p}
-    if isinstance(scheme, SubstringHadamard):
-        return {
-            "kind": "substring",
-            "x": scheme.x.to01(),
-            "r": scheme.r,
-            "t": scheme.t,
-        }
-    if isinstance(scheme, ComposedInstance):
-        st = scheme.structure
-        return {
-            "kind": "membership-composed",
-            "x": scheme.x.to01(),
-            "decoder": scheme.decoder,
-            "public_n": st.public_n,
-            "universe": st.base.n,
-            "s": st.base.s,
-            "eps": st.base.eps,
-            "a": st.a,
-            "b": st.b,
-            "n_prime": st.base.n_prime,
-            "probe_sets": [list(st.base.probe_set(i)) for i in range(1, st.base.n + 1)],
-            "perm": [int(v) for v in st.perm],
-        }
-    # the one-probe instance carries its structure
-    from .membership import MembershipInstance
-
-    if isinstance(scheme, MembershipInstance) and isinstance(
-        scheme.structure, OneProbeMembership
-    ):
-        st = scheme.structure
-        return {
-            "kind": "membership-1p",
-            "x": scheme.x.to01(),
-            "n": st.n,
-            "s": st.s,
-            "eps": st.eps,
-            "n_prime": st.n_prime,
-            "probe_sets": [list(st.probe_set(i)) for i in range(1, st.n + 1)],
-        }
-    raise ParameterError("no storage format for %r" % type(scheme).__name__)
-
-
-def _rebuild(head: Dict) -> object:
-    kind = head["kind"]
-    x = BitString.from01(head["x"])
-    if kind == "hadamard-ip":
-        return HadamardIp(x)
-    if kind == "equality":
-        code_desc = head["code"]
-        if code_desc["kind"] == "hadamard":
-            code = HadamardEqualityCode(code_desc["s"])
-        else:
-            code = RandomLinearCode(
-                code_desc["s"],
-                code_desc["length"],
-                rows=[BitString.from01(r) for r in head["rows"]],
-            )
-        return EqualityScheme(x, code=code, balanced=head["balanced"])
-    if kind == "ip-table":
-        return TableIp(x, head["r"], head["p"])
-    if kind == "ip-poly":
-        return PolySharedIp(x, head["r"], head["p"])
-    if kind == "substring":
-        return SubstringHadamard(x, head["r"], head["t"])
-    if kind == "membership-1p":
-        st = OneProbeMembership(
-            head["n"], head["s"], head["eps"], head["probe_sets"], head["n_prime"]
-        )
-        return st.instance(x)
-    if kind == "membership-composed":
-        base = OneProbeMembership(
-            head["universe"],
-            head["s"],
-            head["eps"],
-            head["probe_sets"],
-            head["n_prime"],
-        )
-        st = BlockCodedMembership(head["public_n"], base, head["perm"], head["a"])
-        return st.instance(x, decoder=head["decoder"])
-    raise ParameterError("unknown structure kind %r" % (kind,))
+KINDS = {
+    cls.kind: cls
+    for cls in (
+        HadamardIp,
+        EqualityScheme,
+        TableIp,
+        PolySharedIp,
+        SubstringHadamard,
+        MembershipInstance,
+        ComposedInstance,
+    )
+}
 
 
 def save_structure(path: str, scheme) -> None:
-    head = _header_of(scheme)
-    head["format"] = FORMAT
-    head["version"] = 1
+    head = scheme.header()
     bits = scheme.codeword.bits
-    head["length"] = bits.n
+    head.update(kind=scheme.kind, x=scheme.x.to01(), format=FORMAT, version=1, length=bits.n)
     with open(path, "wb") as fh:
         fh.write(json.dumps(head, sort_keys=True).encode())
         fh.write(b"\n")
         fh.write(bits._data)
 
 
+def _parse_header(path: str, raw: bytes, fmt: str) -> Dict:
+    try:
+        head = json.loads(raw.decode())
+    except ValueError:  # also UnicodeDecodeError
+        raise ParameterError("malformed file %s: header is not UTF-8 JSON" % path) from None
+    if not isinstance(head, dict) or head.get("format") != fmt:
+        raise ParameterError("not an %s file: %s" % (fmt, path))
+    return head
+
+
 def load_structure(path: str):
     with open(path, "rb") as fh:
-        head = json.loads(fh.readline().decode())
+        head = _parse_header(path, fh.readline(), FORMAT)
         payload = fh.read()
-    if head.get("format") != FORMAT:
-        raise ParameterError("not a structure file: %s" % path)
-    scheme = _rebuild(head)
-    stored = BitString(head["length"], payload)
+    try:
+        scheme = KINDS[head["kind"]].from_header(head)
+        stored = BitString(head["length"], payload)
+    except KeyError as exc:
+        raise ParameterError("malformed file %s: bad kind or no field %s" % (path, exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise ParameterError("malformed file %s: %s" % (path, exc)) from None
     if scheme.codeword.bits != stored:
-        raise ParameterError("stored codeword does not match its header")
+        raise ParameterError("stored codeword does not match its header: %s" % path)
     return scheme
 
 
@@ -164,11 +89,14 @@ def save_pattern(path: str, pattern: CorruptionPattern, n: int) -> None:
 
 
 def load_pattern(path: str) -> Tuple[CorruptionPattern, int]:
-    with open(path) as fh:
-        head = json.load(fh)
-    if head.get("format") != PATTERN_FORMAT:
-        raise ParameterError("not a pattern file: %s" % path)
-    return CorruptionPattern(head["positions"]), head["n"]
+    with open(path, "rb") as fh:
+        head = _parse_header(path, fh.read(), PATTERN_FORMAT)
+    try:
+        return CorruptionPattern(head["positions"]), head["n"]
+    except KeyError as exc:
+        raise ParameterError("malformed file %s: no header field %s" % (path, exc)) from None
+    except TypeError as exc:
+        raise ParameterError("malformed file %s: %s" % (path, exc)) from None
 
 
 def report_csv_text(report) -> str:

@@ -5,6 +5,8 @@ JSON and compared across runs for byte-level determinism.
 """
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -458,3 +460,71 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert stdout == ""
     assert json.loads(out_path.read_text())["inputs"]["ball"] == 11
+
+
+@pytest.mark.parametrize("scheme, query", [("had-ip", "11"), ("equality", "101100")])
+def test_decode_refuses_wrong_length_query(tmp_path, capsys, scheme, query):
+    st = str(tmp_path / "s.ecds")
+    run_json(capsys, "build", "--scheme", scheme, "--n", "4", "--x", "1011", "--out-file", st)
+    code, out, err = run(capsys, "decode", "--structure", st, "--query", query)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+SCHEME_FLAGS = {
+    "ip-table": ["--n", "4", "--r", "2"],
+    "ip-poly": ["--n", "4", "--r", "2"],
+    "substring": ["--n", "4", "--r", "2"],
+    "mem-1p": ["--n", "8", "--s", "1", "--eps", "0.3"],
+    "mem-composed": ["--n", "16", "--s", "1", "--eps", "0.4", "--a", "5", "--b", "40"],
+}
+
+
+@pytest.mark.parametrize(
+    "scheme, flag",
+    [
+        ("ip-table", "p"),
+        ("ip-poly", "p"),
+        ("substring", "t"),
+        ("mem-1p", "eps"),
+        ("mem-composed", "eps"),
+        ("mem-composed", "a"),
+        ("mem-composed", "b"),
+    ],
+)
+def test_zero_flag_is_refused_not_defaulted(tmp_path, capsys, scheme, flag):
+    code, out, err = run(
+        capsys,
+        "build",
+        "--scheme",
+        scheme,
+        *SCHEME_FLAGS[scheme],
+        "--" + flag,
+        "0",
+        "--out-file",
+        str(tmp_path / "x.ecds"),
+    )
+    assert code == 3, out
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+def readme_cli_commands():
+    """Each `ecds ...` line of the README's CLI section, as an argv."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("ecds ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert {argv[0] for argv in commands} == {
+        "build", "decode", "attack", "experiment", "bounds", "sweep"
+    }
+    for argv in commands:
+        if argv[0] == "sweep":
+            cell = {"scheme": "had-ip", "n": 4, "x": "1011", "trials": 10}
+            (tmp_path / "grid.json").write_text(json.dumps([cell]))
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -1,6 +1,8 @@
 """Structure and pattern files: round trips and integrity checking."""
 
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +100,50 @@ def test_wrong_format_is_rejected(tmp_path):
         load_structure(path)
     with pytest.raises(ParameterError):
         load_pattern(path)
+
+
+def _without(head, key):
+    return json.dumps({k: v for k, v in head.items() if k != key}).encode()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "structure-not-json",
+        "structure-not-utf8",
+        "structure-no-kind",
+        "structure-no-field",
+        "structure-wrong-type",
+        "structure-short-payload",
+        "pattern-not-json",
+        "pattern-not-utf8",
+        "pattern-no-field",
+        "pattern-wrong-type",
+    ],
+)
+def test_malformed_files_are_refused(tmp_path, case):
+    good = str(tmp_path / "good.ecds")
+    save_structure(good, TableIp(BitString.from01("110100"), 3, 2))
+    line, payload = open(good, "rb").read().split(b"\n", 1)
+    head = json.loads(line)
+    pattern = {"format": "ecds-pattern", "n": 8, "weight": 1, "positions": [2]}
+    broken = {
+        "structure-not-json": line[:-1] + b"\n" + payload,
+        "structure-not-utf8": b"\xff" + line + b"\n" + payload,
+        "structure-no-kind": _without(head, "kind") + b"\n" + payload,
+        "structure-no-field": _without(head, "r") + b"\n" + payload,
+        "structure-wrong-type": json.dumps(dict(head, r="3")).encode() + b"\n" + payload,
+        "structure-short-payload": line + b"\n" + payload[:-1],
+        "pattern-not-json": json.dumps(pattern).encode()[:-1],
+        "pattern-not-utf8": b"\xff" + json.dumps(pattern).encode(),
+        "pattern-no-field": _without(pattern, "positions"),
+        "pattern-wrong-type": json.dumps(dict(pattern, positions=2)).encode(),
+    }[case]
+    path = str(tmp_path / "broken")
+    open(path, "wb").write(broken)
+    load = load_structure if case.startswith("structure") else load_pattern
+    with pytest.raises(ParameterError, match=re.escape(path)):
+        load(path)
 
 
 def test_pattern_roundtrip(tmp_path):
