@@ -38,7 +38,6 @@ from .hadamard import (
     HadamardIp,
     MajorityAmplified,
     RandomLinearCode,
-    decode_ip,
     majority_error,
     pairwise_error_counts,
 )

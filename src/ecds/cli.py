@@ -127,19 +127,22 @@ def _given(cfg: Dict, *keys: str) -> Dict:
 
 
 def pick_queries(scheme, selector: str, seed: int) -> List:
-    """Query selection: 'all', 'sample:K', or a comma-separated list."""
+    """Query selection: 'all', 'sample:K' or a comma-separated list, never empty."""
     if selector == "all":
         out = list(scheme.queries())
         if len(out) > 4096:
             raise ParameterError(
                 "%d queries is too many for 'all'; use sample:K" % len(out)
             )
-        return out
-    if selector.startswith("sample:"):
+    elif selector.startswith("sample:"):
         k = int(selector.split(":", 1)[1])
         rng = stream("queries", seed)
-        return [scheme.random_query(rng) for _ in range(k)]
-    return [scheme.parse_query(part) for part in selector.split(",") if part]
+        out = [scheme.random_query(rng) for _ in range(k)]
+    else:
+        out = [scheme.parse_query(part) for part in selector.split(",") if part]
+    if not out:
+        raise ParameterError("query selector %r selects no queries" % selector)
+    return out
 
 
 def _resolve_budget(args, length: int) -> int:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bits import BitString, dot_mod2
 from .errors import InfeasibleSizeError, ParameterError
-from .oracle import Codeword, CorruptionPattern, ProbeOracle, Scheme
+from .oracle import Codeword, CorruptionPattern, Scheme, corrupt
 
 MAX_EXPONENT = 26  # 2^26 bits = 8 MiB packed; beyond that, refuse
 
@@ -62,14 +62,14 @@ class HadamardCode:
         return self.length // 2
 
 
-def ip_with_coin(oracle: ProbeOracle, y: BitString, z: int) -> int:
-    """Two-probe inner-product decode using the fixed offset z."""
-    return oracle.probe(z + 1) ^ oracle.probe((z ^ y.value) + 1)
+def pair_reads(base, z, y) -> np.ndarray:
+    """The 2-probe read of a Hadamard piece stored after position base:
+    offsets z and z xor y, whose bits XOR to x.y.  Arrays broadcast."""
+    return np.stack([base + z + 1, base + (z ^ y) + 1], axis=-1)
 
 
-def decode_ip(oracle: ProbeOracle, y: BitString, rng) -> int:
-    """Randomized 2-probe decode of x.y from a (corrupted) encoding of x."""
-    return ip_with_coin(oracle, y, rng.randrange(1 << y.n))
+def xor_all(bits: np.ndarray) -> np.ndarray:
+    return np.bitwise_xor.reduce(bits, axis=1)
 
 
 class HadamardIp(Scheme):
@@ -90,14 +90,12 @@ class HadamardIp(Scheme):
     def probe_budget(self, query) -> int:
         return 2
 
-    def coin_count(self, query) -> int:
-        return self.code.length
+    def coin_radices(self, query) -> Tuple[int, ...]:
+        return (self.code.length,)
 
-    def coin_from_index(self, query, idx: int) -> int:
-        return idx
-
-    def decode_with_coins(self, oracle, query: BitString, coins: int) -> int:
-        return ip_with_coin(oracle, query, coins)
+    def plan(self, query: BitString, coins: np.ndarray):
+        self.check_query(query)
+        return pair_reads(0, coins[:, 0], query.value), xor_all
 
     def truth(self, query: BitString) -> int:
         self.check_query(query)
@@ -124,11 +122,7 @@ def pairwise_error_counts(
     exact error probability of the 2-probe decoder at query y.
     """
     n = 1 << s
-    flipped = np.zeros(n, dtype=np.uint8)
-    for pos in pattern.flips:
-        if not 1 <= pos <= n:
-            raise ValueError("flip position beyond codeword length")
-        flipped[pos - 1] = 1
+    flipped = corrupt(Codeword(BitString.zeros(n)), pattern).to_bit_array()
     z = np.arange(n, dtype=np.uint32)
     out = np.empty(n, dtype=np.int64)
     for start in range(0, n, block):
@@ -142,7 +136,7 @@ def pairwise_error_counts(
 class MajorityAmplified(Scheme):
     """Runs an inner bit-valued scheme t times and takes the majority.
 
-    Coins are t-tuples of inner coins; the probe budget scales by t.
+    Coins are t inner coin tuples laid end to end; the budget scales by t.
     """
 
     def __init__(self, inner: Scheme, t: int):
@@ -159,25 +153,18 @@ class MajorityAmplified(Scheme):
     def probe_budget(self, query) -> int:
         return self.t * self.inner.probe_budget(query)
 
-    def coin_count(self, query) -> int:
-        return self.inner.coin_count(query) ** self.t
+    def coin_radices(self, query) -> Tuple[int, ...]:
+        return self.inner.coin_radices(query) * self.t
 
-    def coin_from_index(self, query, idx: int) -> tuple:
-        base = self.inner.coin_count(query)
-        coins = []
-        for _ in range(self.t):
-            idx, rem = divmod(idx, base)
-            coins.append(self.inner.coin_from_index(query, rem))
-        return tuple(coins)
+    def plan(self, query, coins: np.ndarray):
+        runs = [self.inner.plan(query, part) for part in np.split(coins, self.t, axis=1)]
 
-    def sample_coins(self, query, rng) -> tuple:
-        return tuple(self.inner.sample_coins(query, rng) for _ in range(self.t))
+        def combine(bits: np.ndarray) -> np.ndarray:
+            parts = np.split(bits, self.t, axis=1)
+            votes = sum(inner(part) for (_, inner), part in zip(runs, parts))
+            return (votes * 2 > self.t).astype(np.int64)
 
-    def decode_with_coins(self, oracle, query, coins) -> int:
-        votes = sum(
-            self.inner.decode_with_coins(oracle, query, c) for c in coins
-        )
-        return int(votes * 2 > self.t)
+        return np.hstack([positions for positions, _ in runs]), combine
 
     def truth(self, query):
         return self.inner.truth(query)
@@ -265,8 +252,10 @@ class RandomLinearCode:
             out = out ^ self.rows[i - 1]
         return out
 
-    def bit_of(self, x: BitString, j: int) -> int:
-        return (self._cols[j - 1] & x.value).bit_count() & 1
+    def bit_of(self, x: BitString, j):
+        """Bit j of x's codeword; j may be an array of positions."""
+        cols = np.asarray(self._cols, dtype=np.uint64)[np.asarray(j) - 1]
+        return np.bitwise_count(cols & np.uint64(x.value)) & 1
 
     def describe(self) -> Dict[str, object]:
         return {"kind": "random-linear", "s": self.s, "length": self.length}
@@ -288,8 +277,9 @@ class HadamardEqualityCode:
     def encode(self, x: BitString) -> BitString:
         return self.inner.encode(x)
 
-    def bit_of(self, x: BitString, j: int) -> int:
-        return (x.value & (j - 1)).bit_count() & 1
+    def bit_of(self, x: BitString, j):
+        """Bit j of x's codeword; j may be an array of positions."""
+        return np.bitwise_count(np.asarray(j - 1, dtype=np.uint64) & np.uint64(x.value)) & 1
 
     def describe(self) -> Dict[str, object]:
         return {"kind": "hadamard", "s": self.s, "length": self.length}
@@ -343,21 +333,20 @@ class EqualityScheme(Scheme):
     def probe_budget(self, query) -> int:
         return 1
 
-    def coin_count(self, query) -> int:
-        return 3 * self.code.length if self.balanced else self.code.length
+    def coin_radices(self, query) -> Tuple[int, ...]:
+        return (3 * self.code.length if self.balanced else self.code.length,)
 
-    def coin_from_index(self, query, idx: int):
-        if self.balanced:
-            j, c = divmod(idx, 3)
-            return (j + 1, c)
-        return (idx + 1, None)
+    def plan(self, query: BitString, coins: np.ndarray):
+        """Compare position j with y's codeword there; the balanced
+        variant answers 1 only when a third coin c < 3 is below 2."""
+        self.check_query(query)
+        j, c = np.divmod(coins[:, 0], 3) if self.balanced else (coins[:, 0], 0)
+        expect = self.code.bit_of(query, j + 1)
 
-    def decode_with_coins(self, oracle, query: BitString, coins) -> int:
-        j, c = coins
-        agree = oracle.probe(j) == self.code.bit_of(query, j)
-        if not self.balanced:
-            return int(agree)
-        return int(agree and c < 2)
+        def combine(bits: np.ndarray) -> np.ndarray:
+            return ((bits[:, 0] == expect) & (c < 2)).astype(np.int64)
+
+        return j[:, None] + 1, combine
 
     def truth(self, query: BitString) -> int:
         self.check_query(query)

@@ -4,10 +4,10 @@ An attack turns a strategy into a concrete CorruptionPattern for a given
 scheme instance, never exceeding its flip budget.  estimate_error then
 measures per-query decoding error under that pattern: exactly, by
 enumerating the decoder's coin space when it has at most 2^20 states,
-else by Monte Carlo with exact 99% Clopper-Pearson intervals.  Reports
-are deterministic functions of (parameters, seed) and serialize to
-canonical JSON and CSV; wall time is carried alongside but kept out of
-the canonical bytes.
+else by Monte Carlo with exact 99% Clopper-Pearson intervals, both
+through the scheme's probe plan.  Reports are deterministic functions of
+(parameters, seed) and serialize to canonical JSON and CSV; wall time is
+carried alongside but kept out of the canonical bytes.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
 from scipy.stats import beta as _beta_dist
 
 from .bits import BitString
@@ -24,9 +26,11 @@ from .errors import ParameterError
 from .hadamard import HadamardIp, pairwise_error_counts
 from .oracle import (
     EXACT_STATE_LIMIT,
+    MC_BLOCK,
     CorruptionPattern,
-    ProbeOracle,
     Scheme,
+    corrupt,
+    count_wrong,
     exact_error,
 )
 from .seeding import stream
@@ -39,11 +43,6 @@ ADVERSARY_KINDS = (
     "probe_set_killer",
     "greedy_local",
 )
-
-# Monte-Carlo randomness is drawn per block of trials, each block seeded
-# from (seed, query, block index): trial t lives in block t // MC_BLOCK,
-# so results do not depend on how blocks are scheduled.
-MC_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -131,16 +130,7 @@ def _greedy_objective(scheme, queries, trials, seed):
                 err = float(exact_error(scheme, q, pattern))
             else:
                 rng = stream("greedy-eval", seed, qi)
-                oracle = ProbeOracle(
-                    scheme.codeword, pattern, scheme.probe_budget(q)
-                )
-                truth = scheme.truth(q)
-                wrong = 0
-                for _ in range(trials):
-                    oracle.reset()
-                    if scheme.decode(oracle, q, rng) != truth:
-                        wrong += 1
-                err = wrong / trials
+                err = _sampled_wrong(scheme, q, pattern, trials, lambda _: rng) / trials
             worst = max(worst, err)
         return worst
 
@@ -273,45 +263,43 @@ class ExperimentReport:
         return [dict(head, **r.to_dict()) for r in self.results]
 
 
+def _sampled_wrong(scheme, query, pattern, trials, block_rng) -> int:
+    """Wrong answers over `trials` sampled coin tuples.  Block b of MC_BLOCK
+    rows draws from block_rng(b), digit by digit as Scheme.sample_coins."""
+    radices = scheme.coin_radices(query)
+
+    def chunks():
+        for block, start in enumerate(range(0, trials, MC_BLOCK)):
+            size = min(MC_BLOCK, trials - start)
+            draw = block_rng(block).randrange
+            draws = [draw(radix) for _ in range(size) for radix in radices]
+            yield np.array(draws, dtype=np.int64).reshape(size, len(radices))
+
+    return count_wrong(scheme, query, chunks(), corrupt(scheme.codeword, pattern))
+
+
 def _measure_query(scheme, query, pattern, trials, seed, exact_limit, conf):
     count = scheme.coin_count(query)
     label = scheme.query_label(query)
-    if count <= exact_limit:
-        err = exact_error(scheme, query, pattern, limit=exact_limit)
-        return QueryResult(
-            query=label,
-            mode="exact",
-            trials=count,
-            wrong=int(err * count),
-            error=float(err),
-            error_exact=str(err),
-            ci_low=float(err),
-            ci_high=float(err),
-            pattern_weight=pattern.weight,
+    exact = count <= exact_limit
+    if exact:
+        trials = count
+        wrong = int(exact_error(scheme, query, pattern, limit=exact_limit) * count)
+        lo = hi = wrong / count
+    else:
+        # each block of MC_BLOCK trials draws from its own stream, seeded
+        # from (seed, query, block index), so trial t's coins depend only on t
+        wrong = _sampled_wrong(
+            scheme, query, pattern, trials, lambda block: stream("mc", seed, label, block)
         )
-    truth = scheme.truth(query)
-    oracle = ProbeOracle(scheme.codeword, pattern, scheme.probe_budget(query))
-    decode = scheme.decode_with_coins
-    sample = scheme.sample_coins
-    wrong = 0
-    done = 0
-    block = 0
-    while done < trials:
-        rng = stream("mc", seed, label, block)
-        for _ in range(min(MC_BLOCK, trials - done)):
-            oracle.reset()
-            if decode(oracle, query, sample(query, rng)) != truth:
-                wrong += 1
-        done += min(MC_BLOCK, trials - done)
-        block += 1
-    lo, hi = clopper_pearson(wrong, trials, conf)
+        lo, hi = clopper_pearson(wrong, trials, conf)
     return QueryResult(
         query=label,
-        mode="mc",
+        mode="exact" if exact else "mc",
         trials=trials,
         wrong=wrong,
         error=wrong / trials,
-        error_exact=None,
+        error_exact=str(Fraction(wrong, trials)) if exact else None,
         ci_low=lo,
         ci_high=hi,
         pattern_weight=pattern.weight,

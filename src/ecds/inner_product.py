@@ -29,7 +29,7 @@ from .bits import (
     split_query,
 )
 from .errors import InfeasibleSizeError, ParameterError
-from .hadamard import MAX_EXPONENT, HadamardCode
+from .hadamard import MAX_EXPONENT, HadamardCode, pair_reads, xor_all
 from .oracle import Codeword, Scheme
 
 
@@ -105,21 +105,16 @@ class TableIp(LowWeightQueries):
     def probe_budget(self, query) -> int:
         return self.p
 
-    def coin_count(self, query) -> int:
-        return 1
-
-    def coin_from_index(self, query, idx: int):
-        return None
+    def coin_radices(self, query) -> Tuple[int, ...]:
+        return (1,)
 
     def probe_positions(self, query: BitString) -> List[int]:
         return [self.space.rank(piece) + 1 for piece in split_query(query, self.p)]
 
-    def decode_with_coins(self, oracle, query: BitString, coins) -> int:
+    def plan(self, query: BitString, coins: np.ndarray):
         self.check_query(query)
-        out = 0
-        for pos in self.probe_positions(query):
-            out ^= oracle.probe(pos)
-        return out
+        positions = np.array(self.probe_positions(query), dtype=np.int64)
+        return np.tile(positions, (len(coins), 1)), xor_all
 
     def truth(self, query: BitString) -> int:
         self.check_query(query)
@@ -206,36 +201,34 @@ class SubstringHadamard(LowWeightQueries):
         self.check_query(query)
         return 2 * self.t * query.weight
 
-    def coin_count(self, query) -> int:
+    def coin_radices(self, query) -> Tuple[int, ...]:
         self.check_query(query)
-        return self.piece_len ** (self.t * query.weight)
+        return (self.piece_len,) * (self.t * query.weight)
 
-    def coin_from_index(self, query, idx: int) -> Tuple[int, ...]:
-        draws = self.t * query.weight
-        coins = []
-        for _ in range(draws):
-            idx, rem = divmod(idx, self.piece_len)
-            coins.append(rem)
-        return tuple(coins)
-
-    def sample_coins(self, query, rng) -> Tuple[int, ...]:
-        draws = self.t * query.weight
-        return tuple(rng.randrange(self.piece_len) for _ in range(draws))
-
-    def decode_with_coins(self, oracle, query: BitString, coins) -> BitString:
+    def plan(self, query: BitString, coins: np.ndarray):
+        """For each requested bit i, t offsets z in its piece, each read
+        at z and z xor the unit vector of i; the answer packs the
+        majority bits, the first requested bit most significant."""
         self.check_query(query)
-        out = 0
-        for w, i in enumerate(query.support()):
-            k, e = self.bit_location(i)
-            base = self.piece_offset(k)
-            unit = 1 << (self.chunk - e)
-            votes = 0
-            for z in coins[w * self.t : (w + 1) * self.t]:
-                votes += oracle.probe(base + z + 1) ^ oracle.probe(
-                    base + (z ^ unit) + 1
-                )
-            out = (out << 1) | int(votes * 2 > self.t)
-        return BitString.from_int(query.weight, out)
+        w = query.weight
+        locations = [self.bit_location(i) for i in query.support()]
+        base = np.array([self.piece_offset(k) for k, _ in locations], dtype=np.int64)
+        unit = np.array([1 << (self.chunk - e) for _, e in locations], dtype=np.int64)
+        z = coins.reshape(len(coins), w, self.t)
+        positions = pair_reads(base[:, None], z, unit[:, None])
+        # answers past 62 bits are python integers
+        weights = np.array(
+            [1 << k for k in reversed(range(w))], dtype=np.int64 if w < 63 else object
+        )
+
+        def combine(bits: np.ndarray) -> np.ndarray:
+            votes = (bits[:, 0::2] ^ bits[:, 1::2]).reshape(len(bits), w, self.t).sum(axis=2)
+            return (votes * 2 > self.t).astype(weights.dtype) @ weights
+
+        return positions.reshape(len(coins), 2 * self.t * w), combine
+
+    def answer(self, query: BitString, value) -> BitString:
+        return BitString.from_int(query.weight, int(value))
 
     def truth(self, query: BitString) -> BitString:
         self.check_query(query)
@@ -422,15 +415,12 @@ class PolySharedIp(LowWeightQueries):
     def probe_budget(self, query) -> int:
         return self.p
 
-    def coin_count(self, query) -> int:
-        return self.block_length
+    def coin_radices(self, query) -> Tuple[int, ...]:
+        return (self.block_length,)
 
-    def coin_from_index(self, query, idx: int) -> int:
-        return idx
-
-    def shares_from_coins(self, query: BitString, coins: int) -> List[int]:
-        """All p shares: p-1 uniform from the coins, the last the
-        complement so they XOR to the query's point."""
+    def shares_from_coins(self, query: BitString, coins):
+        """All p shares, ints or arrays like coins: p-1 uniform from the
+        coins, the last the complement so they XOR to the query's point."""
         rm = self.r * self.m
         shares = []
         rest = coins
@@ -443,8 +433,8 @@ class PolySharedIp(LowWeightQueries):
         shares.append(acc)
         return shares
 
-    def block_position(self, block_j: int, shares: Sequence[int]) -> int:
-        """Codeword position block_j's decoder reads for these shares."""
+    def block_position(self, block_j: int, shares: Sequence):
+        """Position block_j's decoder reads for these shares (arrays broadcast)."""
         rm = self.r * self.m
         addr = 0
         for j in range(1, self.p + 1):
@@ -452,12 +442,11 @@ class PolySharedIp(LowWeightQueries):
                 addr = (addr << rm) | shares[j - 1]
         return (block_j - 1) * self.block_length + addr + 1
 
-    def decode_with_coins(self, oracle, query: BitString, coins: int) -> int:
-        shares = self.shares_from_coins(query, coins)
-        out = 0
-        for j in range(1, self.p + 1):
-            out ^= oracle.probe(self.block_position(j, shares))
-        return out
+    def plan(self, query: BitString, coins: np.ndarray):
+        """One read per block at the address its other shares spell."""
+        shares = self.shares_from_coins(query, coins[:, 0])
+        positions = [self.block_position(j, shares) for j in range(1, self.p + 1)]
+        return np.stack(positions, axis=1), xor_all
 
     def truth(self, query: BitString) -> int:
         self.check_query(query)

@@ -35,8 +35,8 @@ from .errors import (
     ParameterError,
     VerificationError,
 )
-from .hadamard import MAX_EXPONENT, HadamardCode
-from .oracle import Codeword, ProbeOracle, Scheme
+from .hadamard import MAX_EXPONENT, HadamardCode, pair_reads, xor_all
+from .oracle import Codeword, Scheme
 from .seeding import derive_seed
 
 
@@ -334,12 +334,6 @@ class OneProbeMembership:
         }
 
 
-def one_probe_decode(structure: OneProbeMembership, oracle: ProbeOracle, i: int, rng) -> int:
-    """Probe one uniformly random position of P_i."""
-    ps = structure.probe_set(i)
-    return oracle.probe(ps[rng.randrange(len(ps))])
-
-
 class IndexQueries(Scheme):
     """Queries are indices into the encoded set x, written in decimal."""
 
@@ -390,14 +384,14 @@ class MembershipInstance(IndexQueries):
     def probe_budget(self, query) -> int:
         return 1
 
-    def coin_count(self, query) -> int:
-        return self.structure.d
+    def coin_radices(self, query) -> Tuple[int, ...]:
+        return (self.structure.d,)
 
-    def coin_from_index(self, query, idx: int) -> int:
-        return idx
-
-    def decode_with_coins(self, oracle, query: int, coins: int) -> int:
-        return oracle.probe(self.structure.probe_set(query)[coins])
+    def plan(self, query: int, coins: np.ndarray):
+        """Probe one uniformly random position of P_i."""
+        self.check_query(query)
+        probe_set = np.array(self.structure.probe_set(query), dtype=np.int64)
+        return probe_set[coins[:, :1]], xor_all
 
     def check_query(self, query: int) -> None:
         if not 1 <= query <= self.structure.n:
@@ -497,20 +491,19 @@ class BlockCodedMembership:
         self.good_indices = tuple(
             i
             for i in range(1, public_n + 1)
-            if 4 * len(self._block_info[i - 1][1]) >= self.b
+            if 4 * np.count_nonzero(self._block_info[i - 1][1]) >= self.b
         )
 
-    def _index_blocks(self, i: int) -> Tuple[np.ndarray, Dict[int, int]]:
-        """Per-block element counts of P_i after the shuffle, and the
-        local (1-based) position of the element in each exactly-one block."""
-        pos0 = self.perm[self.base._sets0[i - 1]]
-        counts = np.bincount(pos0 // self.a, minlength=self.b)
-        unique: Dict[int, int] = {}
-        for p0 in pos0:
-            k = int(p0) // self.a
-            if counts[k] == 1:
-                unique[k + 1] = int(p0) % self.a + 1
-        return counts, unique
+    def _index_blocks(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-block element counts of P_i after the shuffle, and per block
+        the local (1-based) position of its element if it holds exactly
+        one, else 0."""
+        k, e = np.divmod(self.perm[self.base._sets0[i - 1]], self.a)
+        counts = np.bincount(k, minlength=self.b)
+        local = np.zeros(self.b, dtype=np.int64)
+        once = counts[k] == 1
+        local[k[once]] = e[once] + 1
+        return counts, local
 
     def block_counts(self, i: int) -> np.ndarray:
         if not 1 <= i <= self.public_n:
@@ -521,7 +514,7 @@ class BlockCodedMembership:
         """Blocks holding exactly one element of P_i: block -> local bit."""
         if not 1 <= i <= self.public_n:
             raise ParameterError("index out of range")
-        return dict(self._block_info[i - 1][1])
+        return {k + 1: int(e) for k, e in enumerate(self._block_info[i - 1][1]) if e}
 
     @classmethod
     def build(
@@ -675,38 +668,35 @@ class ComposedInstance(IndexQueries):
     def probe_budget(self, query) -> int:
         return 2
 
-    def coin_count(self, query) -> int:
+    def coin_radices(self, query) -> Tuple[int, ...]:
         st = self.structure
         if self.decoder == "block":
-            return st.b * 2 * st.code.length
-        return st.base.d * st.code.length
+            return (st.b * 2 * st.code.length,)
+        return (st.base.d * st.code.length,)
 
-    def coin_from_index(self, query, idx: int):
-        st = self.structure
-        if self.decoder == "block":
-            k, rem = divmod(idx, 2 * st.code.length)
-            fb, z = divmod(rem, st.code.length)
-            return (k + 1, fb, z)
-        j, z = divmod(idx, st.code.length)
-        return (j, z)
-
-    def decode_with_coins(self, oracle, query: int, coins):
+    def plan(self, query: int, coins: np.ndarray):
+        """The coin picks a block k0 and a fallback bit fb (block decoder)
+        or an element of P_i (direct), and an offset z.  Local bit e of k0
+        is read at z and z xor unit(e); a block not good for i answers fb."""
         self.check_query(query)
         st = self.structure
+        length = st.code.length
         if self.decoder == "block":
-            k, fb, z = coins
-            e = st._block_info[query - 1][1].get(k)
-            if e is None:
-                return fb
-            base = (k - 1) * st.code.length
+            k0, rest = np.divmod(coins[:, 0], 2 * length)
+            fb, z = np.divmod(rest, length)
+            e = st._block_info[query - 1][1][k0]
         else:
-            jidx, z = coins
-            pos0 = int(st.perm[st.base._sets0[query - 1][jidx]])
-            k0, e0 = divmod(pos0, st.a)
-            base = k0 * st.code.length
+            j, z = np.divmod(coins[:, 0], length)
+            fb = 0
+            k0, e0 = np.divmod(st.perm[st.base._sets0[query - 1][j]], st.a)
             e = e0 + 1
-        unit = 1 << (st.a - e)
-        return oracle.probe(base + z + 1) ^ oracle.probe(base + (z ^ unit) + 1)
+        read = e > 0
+        positions = np.where(read[:, None], pair_reads(k0 * length, z, 1 << (st.a - e)), 0)
+
+        def combine(bits: np.ndarray) -> np.ndarray:
+            return np.where(read, bits[:, 0] ^ bits[:, 1], fb)
+
+        return positions, combine
 
     def queries(self):
         return iter(self.structure.good_indices)

@@ -1,22 +1,27 @@
 """Probe-counted, corruptible access to encoded words.
 
-Decoders never touch a codeword directly: they go through a ProbeOracle
-that serves single bit reads, applies the adversary's flips, and enforces
-the declared probe budget as a hard failure.  Exact error analysis
-enumerates a decoder's coin space through the same interface.
+Each scheme describes its decoder once, as a probe plan (positions read
+per coin tuple, and how their bits combine).  A single decode reads them
+through a ProbeOracle that applies the flips and enforces the probe
+budget; measurement reads batches of coins from the served word.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .bits import BitString
 from .errors import EnumerationLimitError, ParameterError, ProbeBudgetError
 
 EXACT_STATE_LIMIT = 2**20
+
+MC_BLOCK = 4096  # coin rows per batch read: memory stays flat in the coin space
 
 
 class Codeword:
@@ -104,15 +109,18 @@ def corrupt(codeword: Codeword, pattern: CorruptionPattern) -> BitString:
     Applying the same pattern twice returns the original bits.
     """
     if not pattern.fits(codeword.n):
-        raise ValueError("flip position beyond codeword length")
-    return codeword.bits.flip(pattern.flips)
+        raise ParameterError("flip position beyond codeword length")
+    word = np.frombuffer(codeword.bits._data, dtype=np.uint8).copy()
+    j = np.fromiter(pattern.flips, dtype=np.int64, count=pattern.weight) - 1
+    np.bitwise_xor.at(word, j >> 3, (0x80 >> (j & 7)).astype(np.uint8))
+    return BitString(codeword.n, word.tobytes())
 
 
 class ProbeOracle:
     """Serves corrupted bit reads and enforces the probe budget.
 
     Construction is O(1); the corrupted word is never materialized, so a
-    fresh oracle per decoding trial is cheap even for megabit codewords.
+    single decode stays cheap even for megabit codewords.
     """
 
     __slots__ = ("codeword", "pattern", "budget", "used", "_bits", "_flips")
@@ -139,16 +147,6 @@ class ProbeOracle:
         self.used += 1
         return self._bits.bit(j) ^ (j in self._flips)
 
-    @property
-    def remaining(self) -> int:
-        return self.budget - self.used
-
-    def reset(self) -> None:
-        """Restart probe accounting: the budget applies per decode call.
-        Measurement loops reuse one oracle this way instead of paying
-        construction per trial; the served bits are unchanged."""
-        self.used = 0
-
 
 class RecordingOracle(ProbeOracle):
     """ProbeOracle that also records the sequence of positions read."""
@@ -168,12 +166,13 @@ class RecordingOracle(ProbeOracle):
 class Scheme:
     """A structure instance bound to encoded data, decodable through oracles.
 
-    Subclasses fix a finite coin space per query (indices 0..coin_count-1
-    mapping to coin objects), decode as a deterministic function of
-    (oracle, query, coins), and expose the ground truth for measurement.
-    Coin spaces may be astronomically large; sampling draws an index with
-    randrange, which handles big integers, so only enumeration needs the
-    space to be small.
+    Coins are tuples of independent uniform digits, digit k below
+    coin_radices(query)[k], drawn one randrange at a time, so only
+    enumeration needs a small space.  plan(query, coins) validates the
+    query and maps int64 coin rows to the 1-based positions read,
+    int64[rows, k] with k <= probe_budget and 0 for an unused trailing
+    slot, and a function from the bits read there to int64 answers;
+    answer(query, value) converts one to the type truth(query) has.
 
     A storable scheme also describes itself: `kind` tags its file header,
     header()/from_header() carry the fields beyond kind and x (by default
@@ -195,17 +194,34 @@ class Scheme:
     def probe_budget(self, query) -> int:
         raise NotImplementedError
 
+    def coin_radices(self, query) -> Tuple[int, ...]:
+        raise NotImplementedError
+
+    def plan(self, query, coins: np.ndarray) -> Tuple[np.ndarray, Callable]:
+        raise NotImplementedError
+
+    def answer(self, query, value):
+        return int(value)
+
     def coin_count(self, query) -> int:
-        raise NotImplementedError
+        return math.prod(self.coin_radices(query))
 
-    def coin_from_index(self, query, idx: int):
-        raise NotImplementedError
+    def coin_from_index(self, query, idx: int) -> Tuple[int, ...]:
+        """The coin tuple with index idx, first digit least significant."""
+        digits = []
+        for radix in self.coin_radices(query):
+            idx, digit = divmod(idx, radix)
+            digits.append(digit)
+        return tuple(digits)
 
-    def sample_coins(self, query, rng):
-        return self.coin_from_index(query, rng.randrange(self.coin_count(query)))
+    def sample_coins(self, query, rng) -> Tuple[int, ...]:
+        return tuple(rng.randrange(radix) for radix in self.coin_radices(query))
 
     def decode_with_coins(self, oracle: ProbeOracle, query, coins):
-        raise NotImplementedError
+        """Run the plan for one coin tuple, reading through the oracle."""
+        positions, combine = self.plan(query, np.array([coins], dtype=np.int64))
+        bits = [oracle.probe(int(j)) if j else 0 for j in positions[0]]
+        return self.answer(query, combine(np.array([bits], dtype=np.int64))[0])
 
     def truth(self, query):
         raise NotImplementedError
@@ -269,32 +285,66 @@ def _check_enumerable(count: int, limit: int) -> None:
         )
 
 
+def coin_chunks(radices: Tuple[int, ...], count: int) -> Iterator[np.ndarray]:
+    """Every coin tuple in index order (as coin_from_index numbers them),
+    as int64 rows, at most MC_BLOCK rows per chunk."""
+    for start in range(0, count, MC_BLOCK):
+        idx = np.arange(start, min(start + MC_BLOCK, count), dtype=np.int64)
+        rows = np.empty((len(idx), len(radices)), dtype=np.int64)
+        for k, radix in enumerate(radices):
+            idx, rows[:, k] = np.divmod(idx, radix)
+        yield rows
+
+
+def read_plan(scheme: Scheme, query, coins: np.ndarray, word: BitString):
+    """Positions and answers of the scheme's plan on each coin row, with
+    bits read from the served word.  Like ProbeOracle, refuses a plan
+    wider than the probe budget and any position outside [1, n]."""
+    positions, combine = scheme.plan(query, coins)
+    width, budget = positions.shape[1], scheme.probe_budget(query)
+    if width > budget:
+        raise ProbeBudgetError("plan reads %d positions, budget %d" % (width, budget))
+    if ((positions < 0) | (positions > word.n)).any():
+        raise ParameterError("probe position outside [1, %d]" % word.n)
+    j = positions - 1
+    packed = np.frombuffer(word._data, dtype=np.uint8)
+    bits = (packed[j >> 3] >> (7 - (j & 7))) & (positions > 0)
+    return positions, combine(bits)
+
+
 def probe_distribution(
     scheme: Scheme, query, limit: int = EXACT_STATE_LIMIT
 ) -> List[ProbeSlot]:
     """Exact per-slot probe distributions, by enumerating the coin space.
 
-    Positions are those read on the uncorrupted word.  Raises
+    Slot k is column k of the plan, read on the uncorrupted word.  Raises
     EnumerationLimitError when the coin space exceeds `limit`.
     """
     count = scheme.coin_count(query)
     _check_enumerable(count, limit)
-    budget = scheme.probe_budget(query)
-    empty = CorruptionPattern.empty()
-    slot_counts: List[Dict[int, int]] = []
-    for idx in range(count):
-        oracle = RecordingOracle(scheme.codeword, empty, budget)
-        scheme.decode_with_coins(oracle, query, scheme.coin_from_index(query, idx))
-        for k, pos in enumerate(oracle.trace):
-            if k == len(slot_counts):
-                slot_counts.append({})
-            slot_counts[k][pos] = slot_counts[k].get(pos, 0) + 1
+    slot_counts: List[Counter] = []
+    for coins in coin_chunks(scheme.coin_radices(query), count):
+        positions, _ = read_plan(scheme, query, coins, scheme.codeword.bits)
+        slot_counts += [Counter() for _ in range(positions.shape[1] - len(slot_counts))]
+        for counts, column in zip(slot_counts, positions.T):
+            counts.update(column[column > 0].tolist())
     slots = []
     for counts in slot_counts:
         used = sum(counts.values())
-        pmf = {pos: Fraction(c, used) for pos, c in sorted(counts.items())}
-        slots.append(ProbeSlot(usage=Fraction(used, count), pmf=pmf))
+        if used:
+            pmf = {pos: Fraction(c, used) for pos, c in sorted(counts.items())}
+            slots.append(ProbeSlot(usage=Fraction(used, count), pmf=pmf))
     return slots
+
+
+def count_wrong(scheme: Scheme, query, chunks: Iterable[np.ndarray], word: BitString) -> int:
+    """How many coin rows, over all chunks, decode wrongly from the served word."""
+    truth = scheme.truth(query)
+    expected = truth.value if isinstance(truth, BitString) else truth
+    return sum(
+        int(np.count_nonzero(read_plan(scheme, query, coins, word)[1] != expected))
+        for coins in chunks
+    )
 
 
 def exact_error(
@@ -306,14 +356,5 @@ def exact_error(
     """Exact decoding error probability under `pattern`, over all coins."""
     count = scheme.coin_count(query)
     _check_enumerable(count, limit)
-    truth = scheme.truth(query)
-    budget = scheme.probe_budget(query)
-    wrong = 0
-    for idx in range(count):
-        oracle = ProbeOracle(scheme.codeword, pattern, budget)
-        out = scheme.decode_with_coins(
-            oracle, query, scheme.coin_from_index(query, idx)
-        )
-        if out != truth:
-            wrong += 1
-    return Fraction(wrong, count)
+    chunks = coin_chunks(scheme.coin_radices(query), count)
+    return Fraction(count_wrong(scheme, query, chunks, corrupt(scheme.codeword, pattern)), count)

@@ -130,7 +130,7 @@ def test_criterion_02_noiseless_correctness(one_probe_64):
                 for p in range(1, 4):
                     sch = TableIp(x, r, p)
                     for y in sch.queries():
-                        if sch.decode_with_coins(sch.oracle(), y, None) != sch.truth(y):
+                        if sch.decode_with_coins(sch.oracle(), y, (0,)) != sch.truth(y):
                             failures.append("table n%d x%d r%d p%d" % (n, xv, r, p))
     # shared polynomial: every data item, query, and share tuple
     for p in (2, 3):

@@ -471,6 +471,16 @@ def test_decode_refuses_wrong_length_query(tmp_path, capsys, scheme, query):
     assert json.loads(err)["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("selector", ["sample:0", "sample:-1", ","])
+def test_empty_query_selection_is_refused(capsys, selector):
+    code, out, err = run(
+        capsys, "experiment", "--scheme", "had-ip", "--n", "4", "--x", "1011",
+        "--queries", selector, "--trials", "10",
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
+
 SCHEME_FLAGS = {
     "ip-table": ["--n", "4", "--r", "2"],
     "ip-poly": ["--n", "4", "--r", "2"],

@@ -20,7 +20,6 @@ from ecds.hadamard import (
     HadamardIp,
     MajorityAmplified,
     RandomLinearCode,
-    decode_ip,
     majority_error,
     pairwise_error_counts,
 )
@@ -85,16 +84,16 @@ def test_noiseless_decode_all_queries():
         for y in sch.queries():
             for z in range(8):
                 oracle = sch.oracle()
-                assert sch.decode_with_coins(oracle, y, z) == sch.truth(y)
+                assert sch.decode_with_coins(oracle, y, (z,)) == sch.truth(y)
                 assert oracle.used == 2
 
 
-def test_decode_ip_uses_random_offset():
-    sch = HadamardIp(BitString.from01("1011"))
-    rng = random.Random(5)
-    y = BitString.from01("0110")
-    for _ in range(20):
-        assert decode_ip(sch.oracle(), y, rng) == sch.truth(y)
+@pytest.mark.parametrize(
+    "scheme", [HadamardIp(BitString.from01("1011")), EqualityScheme(BitString.from01("1011"))]
+)
+def test_decode_refuses_wrong_length_query(scheme):
+    with pytest.raises(ParameterError):
+        scheme.decode(scheme.oracle(), BitString.from01("11"), random.Random(0))
 
 
 def brute_fail_count(s, flips, yv):

@@ -10,6 +10,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ from ecds.harness import (
     estimate_error,
     sweep,
 )
-from ecds.hadamard import HadamardIp, MajorityAmplified, pairwise_error_counts
+from ecds.hadamard import EqualityScheme, HadamardIp, MajorityAmplified, pairwise_error_counts
 from ecds.inner_product import SubstringHadamard
 from ecds.membership import BlockCodedMembership, OneProbeMembership
 from ecds.oracle import CorruptionPattern, exact_error
@@ -285,3 +286,55 @@ def test_sweep_records_failures_and_continues():
     assert len(out) == 3
     assert "report" in out[0] and "report" in out[2]
     assert out[1]["error"].startswith("ValueError")
+
+
+def _frozen_case(name):
+    if name == "composed-block":
+        st = BlockCodedMembership.build(16, 1, eps=0.4, a=5, b=40, seed=0)
+        return st.instance(BitString.from_indices(16, [2]), decoder="block"), [1, 2], 200
+    if name == "substring-t3":
+        sch = SubstringHadamard(BitString.from01("10110100"), 4, t=3)
+        return sch, [BitString.from01("11000000"), BitString.from01("00010001")], 4
+    if name == "majority-t3":
+        sch = MajorityAmplified(HadamardIp(BitString.from01("10110")), 3)
+        return sch, [BitString.from01("01100"), BitString.from01("11111")], 4
+    sch = EqualityScheme(BitString.from01("1011"))
+    return sch, [BitString.from01("1011"), BitString.from01("0011")], 2
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("composed-block", [2201, 1942]),
+        ("substring-t3", [3759, 3783]),
+        ("majority-t3", [812, 223]),
+        ("equality-balanced", [2122, 1707]),
+    ],
+)
+def test_monte_carlo_streams_are_frozen(name, wrong):
+    """Monte Carlo wrong counts pinned across versions of the package,
+    not only across runs of one process: a change to how coins are
+    drawn or read shows up here."""
+    scheme, queries, budget = _frozen_case(name)
+    rep = estimate_error(
+        scheme,
+        queries=queries,
+        strategy=AdversaryStrategy(kind="random_flips", budget=budget, seed=1),
+        trials=5000,
+        seed=7,
+        exact_limit=1,
+    )
+    assert [r.mode for r in rep.results] == ["mc"] * len(queries)
+    assert [r.wrong for r in rep.results] == wrong
+
+
+def test_readme_library_example(capsys):
+    """The README's library block runs and gives the values its comments state."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "# err == Fraction(3, 32)" in block and "# 0.09375" in block
+    scope = {}
+    exec(block, scope)
+    assert scope["err"] == Fraction(3, 32)
+    assert scope["report"].worst_error == 0.09375
+    assert capsys.readouterr().out == "0.09375\n"

@@ -48,7 +48,7 @@ def test_table_noiseless_exhaustive():
                 assert sch.codeword.n == table_ip_length(n, r, p)
                 for y in sch.queries():
                     oracle = sch.oracle()
-                    assert sch.decode_with_coins(oracle, y, None) == dot_mod2(x, y)
+                    assert sch.decode_with_coins(oracle, y, (0,)) == dot_mod2(x, y)
                     assert oracle.used == p
 
 
@@ -56,7 +56,7 @@ def test_table_is_deterministic():
     sch = TableIp(BitString.from01("1101"), 2, 2)
     y = BitString.from01("0101")
     assert sch.coin_count(y) == 1
-    assert sch.coin_from_index(y, 0) is None
+    assert sch.coin_from_index(y, 0) == (0,)
 
 
 def test_table_single_probe_error_is_cell_indicator():

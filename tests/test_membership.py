@@ -21,7 +21,6 @@ from ecds.membership import (
     MembershipInstance,
     OneProbeMembership,
     default_probe_params,
-    one_probe_decode,
 )
 from ecds.oracle import CorruptionPattern, corrupt, exact_error, probe_distribution
 from ecds.seeding import stream
@@ -106,16 +105,6 @@ def test_hand_decode_error_is_overlap_fraction():
     inst = st.instance(BitString.from01("10"))
     assert exact_error(inst, 1, CorruptionPattern.empty()) == 0
     assert exact_error(inst, 2, CorruptionPattern.empty()) == Fraction(2, 5)
-
-
-def test_one_probe_decode_helper():
-    st = hand_structure()
-    inst = st.instance(BitString.from01("10"))
-    rng = random.Random(1)
-    for _ in range(20):
-        oracle = inst.oracle()
-        assert one_probe_decode(st, oracle, 1, rng) == 1
-        assert oracle.used == 1
 
 
 def test_probe_distribution_uniform_over_probe_set():
@@ -257,7 +246,8 @@ def test_block_coin_enumeration_covers_space():
     inst = st.instance(BitString.from01("10"))
     seen = {inst.coin_from_index(1, i) for i in range(inst.coin_count(1))}
     assert len(seen) == 32
-    ks = {k for k, _, _ in seen}
+    # the digit splits as (block - 1, fallback bit, offset), block outermost
+    ks = {digit // (2 * st.code.length) + 1 for (digit,) in seen}
     assert ks == {1, 2, 3, 4}
 
 

@@ -80,9 +80,6 @@ def test_probe_budget_enforced():
     with pytest.raises(ProbeBudgetError):
         oracle.probe(3)
     assert oracle.used == 2
-    oracle.reset()
-    assert oracle.remaining == 2
-    assert oracle.probe(3) == 1
 
 
 def test_probe_out_of_range():
@@ -116,14 +113,11 @@ class ParityToy(Scheme):
     def probe_budget(self, query):
         return 1
 
-    def coin_count(self, query):
-        return 2
+    def coin_radices(self, query):
+        return (2,)
 
-    def coin_from_index(self, query, idx):
-        return idx
-
-    def decode_with_coins(self, oracle, query, coins):
-        return oracle.probe(coins + 1)
+    def plan(self, query, coins):
+        return coins[:, :1] + 1, lambda bits: bits[:, 0]
 
     def truth(self, query):
         return self.x.weight & 1
@@ -150,8 +144,8 @@ def test_probe_distribution_uniform_toy():
 
 
 class HugeCoinToy(ParityToy):
-    def coin_count(self, query):
-        return 2**21
+    def coin_radices(self, query):
+        return (2**21,)
 
 
 def test_enumeration_limit_guard():
@@ -164,7 +158,7 @@ def test_scheme_default_sampler_uses_coin_index():
     toy = ParityToy(BitString.from01("11"))
     rng = random.Random(0)
     seen = {toy.sample_coins(None, rng) for _ in range(50)}
-    assert seen == {0, 1}
+    assert seen == {(0,), (1,)}
 
 
 def test_scheme_oracle_helper_applies_budget():
