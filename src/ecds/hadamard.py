@@ -18,7 +18,7 @@ import numpy as np
 
 from .bits import BitString, dot_mod2
 from .errors import InfeasibleSizeError, ParameterError
-from .oracle import Codeword, CorruptionPattern, Scheme, corrupt
+from .oracle import Codeword, CorruptionPattern, Scheme
 
 MAX_EXPONENT = 26  # 2^26 bits = 8 MiB packed; beyond that, refuse
 
@@ -111,26 +111,47 @@ class HadamardIp(Scheme):
         return {"s": self.x.n, "x": self.x.to01()}
 
 
-def pairwise_error_counts(
-    s: int, pattern: CorruptionPattern, block: int = 1 << 12
-) -> np.ndarray:
+PAIRWISE_MAX_EXPONENT = 20  # 2^(3s) bounds the transform's entries; int64 holds it through s = 20
+
+
+def pairwise_error_counts(s: int, pattern: CorruptionPattern) -> np.ndarray:
     """For each query value y: how many offsets z decode x.y wrongly.
 
     A coin z fails exactly when one of the positions z+1, (z^y)+1 is
     flipped and the other is not, independent of x.  Entry y of the
     returned int64 array counts failing coins; dividing by 2^s gives the
     exact error probability of the 2-probe decoder at query y.
+
+    With F the flipped offsets, count[y] = 2(|F| - C(y)), where
+    C(y) = sum_z 1_F(z) 1_F(z^y) is the XOR autocorrelation of F and
+    2^s C = H (H 1_F)^2 for the unnormalized Walsh-Hadamard transform H.
+    Two exact integer transforms cost O(s 2^s) time and 2^s int64 words.
     """
+    if s > PAIRWISE_MAX_EXPONENT:
+        raise InfeasibleSizeError(
+            "exact pair counts stop at s = %d, got s = %d" % (PAIRWISE_MAX_EXPONENT, s)
+        )
     n = 1 << s
-    flipped = corrupt(Codeword(BitString.zeros(n)), pattern).to_bit_array()
-    z = np.arange(n, dtype=np.uint32)
-    out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, block):
-        ys = np.arange(start, min(start + block, n), dtype=np.uint32)
-        out[start : start + len(ys)] = (
-            flipped[z[None, :]] ^ flipped[ys[:, None] ^ z[None, :]]
-        ).sum(axis=1)
-    return out
+    if not pattern.fits(n):
+        raise ParameterError("flip position beyond codeword length")
+    spectrum = np.zeros(n, dtype=np.int64)
+    spectrum[np.fromiter(pattern.flips, dtype=np.int64, count=pattern.weight) - 1] = 1
+    _walsh_hadamard(spectrum)
+    spectrum *= spectrum
+    _walsh_hadamard(spectrum)
+    return 2 * (pattern.weight - (spectrum >> s))
+
+
+def _walsh_hadamard(a: np.ndarray) -> None:
+    """In place: a <- H a, the unnormalized transform of a length-2^s array."""
+    half = 1
+    while half < len(a):
+        pairs = a.reshape(-1, 2, half)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi  # a + b
+        hi *= -2
+        hi += lo  # (a + b) - 2b = a - b
+        half *= 2
 
 
 class MajorityAmplified(Scheme):

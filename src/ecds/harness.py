@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .bits import BitString
 from .errors import ParameterError
@@ -173,13 +173,11 @@ def clopper_pearson(wrong: int, trials: int, conf: float = 0.99) -> Tuple[float,
     """Exact two-sided binomial confidence interval for wrong/trials."""
     if not 0 <= wrong <= trials or trials < 1:
         raise ParameterError("need 0 <= wrong <= trials")
+    # betaincinv(a, b, q) is the Beta(a, b) quantile, beta.ppf(q, a, b)
+    # without importing scipy.stats
     alpha = 1 - conf
-    lo = 0.0 if wrong == 0 else float(_beta_dist.ppf(alpha / 2, wrong, trials - wrong + 1))
-    hi = (
-        1.0
-        if wrong == trials
-        else float(_beta_dist.ppf(1 - alpha / 2, wrong + 1, trials - wrong))
-    )
+    lo = 0.0 if wrong == 0 else float(betaincinv(wrong, trials - wrong + 1, alpha / 2))
+    hi = 1.0 if wrong == trials else float(betaincinv(wrong + 1, trials - wrong, 1 - alpha / 2))
     return lo, hi
 
 

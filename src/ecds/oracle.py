@@ -226,6 +226,12 @@ class Scheme:
     def truth(self, query):
         raise NotImplementedError
 
+    def queries(self):
+        """Every query this scheme answers, in a fixed order."""
+        raise ParameterError(
+            "%s does not enumerate its queries; name them or sample them" % self.name
+        )
+
     def decode(self, oracle: ProbeOracle, query, rng):
         return self.decode_with_coins(oracle, query, self.sample_coins(query, rng))
 

@@ -5,11 +5,15 @@ JSON and compared across runs for byte-level determinism.
 """
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ecds
 from ecds.cli import main
 
 
@@ -479,6 +483,34 @@ def test_empty_query_selection_is_refused(capsys, selector):
     )
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["attack", "--kind", "greedy_local", "--delta", "0.05", "--out-file", "p.json"],
+        ["experiment", "--queries", "all", "--trials", "10"],
+    ],
+    ids=["attack", "experiment"],
+)
+def test_equality_query_enumeration_is_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run_json(capsys, "build", "--scheme", "equality", "--n", "4", "--x", "1011", "--out-file", "eq.ecds")
+    code, out, err = run(capsys, argv[0], "--structure", "eq.ecds", *argv[1:])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    """scipy.stats would be most of every ecds process's import time and
+    memory, and the CLI needs none of it."""
+    src = str(Path(ecds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ecds.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 SCHEME_FLAGS = {

@@ -1,7 +1,8 @@
 """Hadamard encodings, 2-probe product decoding, majority voting, equality.
 
 Brute-force references here recompute everything with python loops over
-explicit bit lists, independent of the vectorized implementations.
+explicit bit lists, independent of the vectorized implementations; the
+Walsh-Hadamard pair counts are checked against the direct O(4^s) count.
 """
 
 import itertools
@@ -9,7 +10,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecds.bits import BitString, dot_mod2
 from ecds.errors import InfeasibleSizeError, ParameterError
@@ -23,11 +27,13 @@ from ecds.hadamard import (
     majority_error,
     pairwise_error_counts,
 )
+from ecds.harness import AdversaryStrategy, _greedy_objective, attack
 from ecds.oracle import (
     Codeword,
     CorruptionPattern,
     ProbeOracle,
     RecordingOracle,
+    corrupt,
     exact_error,
     probe_distribution,
 )
@@ -111,6 +117,105 @@ def test_pairwise_error_counts_matches_brute_force():
         counts = pairwise_error_counts(s, pattern)
         for yv in range(8):
             assert counts[yv] == brute_fail_count(s, pattern.flips, yv)
+
+
+def quadratic_error_counts(s, pattern, block=1 << 12):
+    """Reference for pairwise_error_counts: XOR the flip indicator at z
+    and z^y for every pair (y, z), O(4^s)."""
+    n = 1 << s
+    flipped = corrupt(Codeword(BitString.zeros(n)), pattern).to_bit_array()
+    z = np.arange(n, dtype=np.uint32)
+    out = np.empty(n, dtype=np.int64)
+    for start in range(0, n, block):
+        ys = np.arange(start, min(start + block, n), dtype=np.uint32)
+        out[start : start + len(ys)] = (
+            flipped[z[None, :]] ^ flipped[ys[:, None] ^ z[None, :]]
+        ).sum(axis=1)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_pairwise_error_counts_match_quadratic_reference(s, seed, fraction):
+    n = 1 << s
+    pattern = CorruptionPattern.random(n, round(fraction * n), random.Random(seed))
+    counts = pairwise_error_counts(s, pattern)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == quadratic_error_counts(s, pattern).tolist()
+
+
+def subspace_offsets(s, rng):
+    """Offsets in the span of a few random vectors of {0,1}^s."""
+    span = {0}
+    for _ in range(rng.randrange(1, s + 1)):
+        v = rng.randrange(1 << s)
+        span |= {u ^ v for u in span}
+    return span
+
+
+def structured_patterns(s, rng):
+    n = 1 << s
+    sub = subspace_offsets(s, rng)
+    shift = rng.randrange(n)
+    start = rng.randrange(1, n + 1)
+    stop = rng.randrange(start, n + 1)
+    sch = HadamardIp(BitString.random(s, rng))
+    out = {
+        "empty": CorruptionPattern.empty(),
+        "all": CorruptionPattern(range(1, n + 1)),
+        "subspace": CorruptionPattern(z + 1 for z in sub),
+        "coset": CorruptionPattern((z ^ shift) + 1 for z in sub),
+        "block": CorruptionPattern(range(start, stop + 1)),
+    }
+    for budget in (1, n // 20, n // 4):
+        strategy = AdversaryStrategy(kind="greedy_local", budget=budget, seed=budget)
+        out["greedy%d" % budget] = attack(strategy, sch)
+    return out
+
+
+@pytest.mark.parametrize("s", [1, 3, 6, 9])
+def test_pairwise_error_counts_on_structured_patterns(s):
+    for name, pattern in structured_patterns(s, random.Random(s)).items():
+        counts = pairwise_error_counts(s, pattern)
+        assert counts.tolist() == quadratic_error_counts(s, pattern).tolist(), name
+
+
+def test_pairwise_error_counts_identities_at_largest_size():
+    s = 20
+    n = 1 << s
+    pattern = CorruptionPattern.random(n, n // 20, random.Random(20))
+    counts = pairwise_error_counts(s, pattern)
+    w = pattern.weight
+    assert counts[0] == 0
+    # every ordered pair of offsets with one flipped end is counted once
+    assert int(counts.sum()) == 2 * w * (n - w)
+    assert int(counts.max()) <= 2 * w
+
+
+def test_pairwise_error_counts_size_guard():
+    with pytest.raises(InfeasibleSizeError):
+        pairwise_error_counts(21, CorruptionPattern.empty())
+    with pytest.raises(ParameterError):
+        pairwise_error_counts(3, CorruptionPattern([9]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    s=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_greedy_objective_matches_oracle_route(s, seed, fraction):
+    rng = random.Random(seed)
+    n = 1 << s
+    sch = HadamardIp(BitString.random(s, rng))
+    pattern = CorruptionPattern.random(n, round(fraction * n), rng)
+    objective = _greedy_objective(sch, [], 0, 0)
+    assert objective(pattern) == float(max(exact_error(sch, y, pattern) for y in sch.queries()))
 
 
 def test_error_at_most_twice_flip_fraction():

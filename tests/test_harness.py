@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ecds.bits import BitString
@@ -193,6 +194,25 @@ def test_clopper_pearson_against_tail_bisection():
         clopper_pearson(5, 4)
 
 
+def test_clopper_pearson_equals_beta_ppf():
+    """The interval is beta.ppf's, bit for bit: every (wrong, trials) with
+    trials <= 200 at two confidences, and a sample of longer runs."""
+    from scipy.stats import beta
+
+    cases = [(w, t, conf) for conf in (0.95, 0.99) for t in range(1, 201) for w in range(t + 1)]
+    rng = random.Random(11)
+    for conf in (0.9, 0.95, 0.99):
+        for _ in range(300):
+            t = rng.randrange(201, 10**6 + 1)
+            w = rng.randrange(t + 1) if rng.random() < 0.5 else rng.randrange(1001)
+            cases.append((w, t, conf))
+    wrong, trials, conf = (np.array(column) for column in zip(*cases))
+    alpha = 1 - conf
+    lo = np.where(wrong == 0, 0.0, beta.ppf(alpha / 2, wrong, trials - wrong + 1))
+    hi = np.where(wrong == trials, 1.0, beta.ppf(1 - alpha / 2, wrong + 1, trials - wrong))
+    assert [clopper_pearson(*case) for case in cases] == list(zip(lo.tolist(), hi.tolist()))
+
+
 def test_estimate_error_exact_mode():
     sch = HadamardIp(BitString.from01("101"))
     rep = estimate_error(sch, trials=10, seed=0)
@@ -269,6 +289,16 @@ def test_report_csv_rows():
     assert rows[0]["scheme"] == "hadamard-ip"
     assert rows[0]["adversary"] == "none"
     assert "error" in rows[0] and "query" in rows[0]
+
+
+def test_queries_unenumerated_scheme_is_refused():
+    sch = EqualityScheme(BitString.from01("1011"))
+    with pytest.raises(ParameterError, match="equality-balanced"):
+        sch.queries()
+    with pytest.raises(ParameterError):
+        estimate_error(sch, trials=10)
+    with pytest.raises(ParameterError):
+        attack(AdversaryStrategy(kind="greedy_local", budget=1), sch)
 
 
 def test_estimate_error_rejects_bad_trials():
