@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .bits import ball_size
+from .bits import BoundedWeightSpace, ball_size
 from .errors import InfeasibleSizeError, ParameterError
 from .seeding import derive_seed
 
@@ -142,8 +142,6 @@ def signed_ip_matrix(n: int, r: int) -> np.ndarray:
         raise InfeasibleSizeError(
             "sign matrix limited to %d columns" % MATRIX_MAX_COLS
         )
-    from .bits import BoundedWeightSpace
-
     ys = np.fromiter(
         (v.value for v in BoundedWeightSpace(n, r)), dtype=np.uint64, count=cols
     )

@@ -290,8 +290,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# the flags each bound formula reads and has no default for
+BOUND_FLAGS = {
+    "ip": ("n", "r"),
+    "ip-comm": ("n", "r", "beta"),
+    "one-probe": ("delta",),
+    "membership": ("n", "s"),
+    "discrepancy": ("n", "r"),
+}
+
+
 def cmd_bounds(args) -> int:
     f = args.formula
+    for flag in BOUND_FLAGS.get(f, ()):
+        if getattr(args, flag) is None:
+            raise ParameterError("--%s is required for %s" % (flag, f))
     if f == "ip":
         rep = bounds_mod.ip_ds_lower_bound(args.n, args.r, args.eps, args.p or 1)
         body = rep.to_dict()
@@ -299,12 +312,8 @@ def cmd_bounds(args) -> int:
             args.n, math.ceil(args.r / (args.p or 1))
         )
     elif f == "ip-comm":
-        if args.beta is None:
-            raise ParameterError("--beta is required for ip-comm")
         body = bounds_mod.ip_comm_lower_bound(args.n, args.r, args.beta).to_dict()
     elif f == "one-probe":
-        if args.delta is None:
-            raise ParameterError("--delta is required for one-probe")
         body = bounds_mod.one_probe_noise_threshold(args.delta, args.eps).to_dict()
     elif f == "membership":
         body = bounds_mod.membership_trivial_lb(args.n, args.s).to_dict()
@@ -391,10 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=cmd_sweep)
 
     bo = sub.add_parser("bounds", help="evaluate a bound formula")
-    bo.add_argument(
-        "formula",
-        choices=("ip", "ip-comm", "one-probe", "membership", "discrepancy"),
-    )
+    bo.add_argument("formula", choices=tuple(BOUND_FLAGS))
     bo.add_argument("--n", type=int)
     bo.add_argument("--s", type=int)
     bo.add_argument("--r", type=int)

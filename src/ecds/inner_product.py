@@ -247,14 +247,8 @@ class SubstringHadamard(LowWeightQueries):
         k, e = self.bit_location(i)
         e2 = e % self.chunk + 1
         mask = (1 << (self.chunk - e)) | (1 << (self.chunk - e2))
-        base = self.piece_offset(k)
-        out = []
-        for z in range(self.piece_len):
-            if len(out) >= budget:
-                break
-            if z & mask == mask:
-                out.append(base + z + 1)
-        return out
+        hits = np.flatnonzero((np.arange(self.piece_len) & mask) == mask)
+        return (self.piece_offset(k) + 1 + hits[: max(budget, 0)]).tolist()
 
     def params(self) -> Dict[str, object]:
         return {"n": self.x.n, "r": self.r, "t": self.t, "x": self.x.to01()}

@@ -22,13 +22,13 @@ fair coin, so adversaries must corrupt many blocks to matter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bits import BitString, ball_size
+from .bits import BitString, BoundedWeightSpace, ball_size
 from .errors import (
     ConstructionError,
     InfeasibleSizeError,
@@ -53,6 +53,19 @@ def default_probe_params(n: int, s: int, eps: float) -> Tuple[int, int]:
     return n_prime, d
 
 
+def _report_dict(report) -> Dict[str, object]:
+    """A build report's fields, flat: a nested report's entries are
+    prefixed with its field name (verification_..., base_...)."""
+    out: Dict[str, object] = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if is_dataclass(value):
+            out.update({f.name + "_" + k: v for k, v in value.to_dict().items()})
+        else:
+            out[f.name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Realized agreement over a verification pass."""
@@ -68,14 +81,7 @@ class VerificationReport:
         return self.checked_supports / self.total_supports
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "exhaustive": self.exhaustive,
-            "checked_supports": self.checked_supports,
-            "total_supports": self.total_supports,
-            "coverage": self.coverage,
-            "min_agreement": self.min_agreement,
-            "violations": self.violations,
-        }
+        return {**_report_dict(self), "coverage": self.coverage}
 
 
 @dataclass(frozen=True)
@@ -91,20 +97,7 @@ class MembershipBuildReport:
     domain_size: int
     verification: VerificationReport
 
-    def to_dict(self) -> Dict[str, object]:
-        out = {
-            "n": self.n,
-            "s": self.s,
-            "eps": self.eps,
-            "n_prime": self.n_prime,
-            "d": self.d,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "overridden": self.overridden,
-            "domain_size": self.domain_size,
-        }
-        out.update({"verification_" + k: v for k, v in self.verification.to_dict().items()})
-        return out
+    to_dict = _report_dict
 
 
 class OneProbeMembership:
@@ -214,18 +207,31 @@ class OneProbeMembership:
 
     # -- verification and encoding -------------------------------------
 
-    def _support_counts(self, support: Sequence[int], mask: np.ndarray) -> np.ndarray:
-        """For data set `support`: per-domain-index count of probe-set
-        positions landing in the encoded union.  mask is a reusable
-        scratch buffer of n_prime zeros."""
-        ypos = self._sets0[[i - 1 for i in support]].ravel()
-        mask[ypos] = 1
-        counts = self._gather(mask)
-        mask[ypos] = 0
-        return counts
+    def _agreement(
+        self, support: Sequence[int], dom_idx: np.ndarray, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Encode the data set `support` and check it on the domain:
+        dom_idx holds its 0-based indices, rows their probe sets.
 
-    def _gather(self, mask: np.ndarray) -> np.ndarray:
-        return mask[self._sets0].sum(axis=1)
+        Returns the union mask over the n' positions and, per domain
+        index, whether it is a member, its agreement (the fraction of its
+        probe set inside the union for a member, outside it for a
+        non-member) and whether that count breaks its threshold."""
+        sup_idx = np.asarray(support, dtype=np.int64) - 1
+        mask = np.zeros(self.n_prime, dtype=np.uint8)
+        mask[self._sets0[sup_idx]] = 1
+        hits = mask[rows].sum(axis=1)
+        member = (dom_idx[:, None] == sup_idx).any(axis=1)
+        agreements = np.where(member, hits / self.d, 1 - hits / self.d)
+        bad = np.where(member, hits < self._member_min, hits > self._nonmember_max)
+        return mask, member, agreements, bad
+
+    def _domain(self, domain: Optional[Sequence[int]]):
+        """The domain (default: the universe), its 0-based indices and
+        their probe-set rows, gathered once per verify or encode call."""
+        dom = tuple(domain) if domain is not None else tuple(range(1, self.n + 1))
+        dom_idx = np.asarray(dom, dtype=np.int64) - 1
+        return dom, dom_idx, self._sets0[dom_idx]
 
     def verify(
         self,
@@ -236,28 +242,16 @@ class OneProbeMembership:
         """Check the agreement guarantee for every weight <= s data set
         over `domain` (default: the whole universe), exhaustively when
         there are at most `limit` supports, else on a uniform sample."""
-        dom = tuple(domain) if domain is not None else tuple(range(1, self.n + 1))
-        dom_idx = np.asarray(dom, dtype=np.int64) - 1
+        dom, dom_idx, rows = self._domain(domain)
         total = ball_size(len(dom), self.s)
         exhaustive = total <= limit
-        mask = np.zeros(self.n_prime, dtype=np.uint8)
         min_agree = 1.0
         violations = 0
         checked = 0
         for support in self._supports(dom, total, exhaustive, limit, rng):
-            counts = self._support_counts(support, mask)[dom_idx]
-            in_sup = np.zeros(len(dom), dtype=bool)
-            sup_set = set(support)
-            for k, i in enumerate(dom):
-                in_sup[k] = i in sup_set
-            member_counts = counts[in_sup]
-            nonmember_counts = counts[~in_sup]
-            if member_counts.size:
-                min_agree = min(min_agree, member_counts.min() / self.d)
-                violations += int((member_counts < self._member_min).sum())
-            if nonmember_counts.size:
-                min_agree = min(min_agree, 1 - nonmember_counts.max() / self.d)
-                violations += int((nonmember_counts > self._nonmember_max).sum())
+            _, _, agreements, bad = self._agreement(support, dom_idx, rows)
+            min_agree = min(min_agree, agreements.min(initial=1.0))
+            violations += int(bad.sum())
             checked += 1
         return VerificationReport(
             exhaustive=exhaustive,
@@ -274,8 +268,6 @@ class OneProbeMembership:
         else:
             if rng is None:
                 rng = np.random.default_rng(0)
-            from .bits import BoundedWeightSpace
-
             space = BoundedWeightSpace(len(dom), self.s)
             for _ in range(limit):
                 k = int(rng.integers(space.size()))
@@ -286,39 +278,19 @@ class OneProbeMembership:
     ) -> Tuple[BitString, np.ndarray]:
         """Union encoding of the set x, plus the per-index agreement
         profile over the verification domain.  Raises VerificationError
-        if any domain index violates the agreement guarantee."""
+        for the first domain index that violates the agreement guarantee."""
         if x.n != self.n:
             raise ParameterError("data length does not match universe")
         if x.weight > self.s:
             raise ParameterError("data weight exceeds s")
-        dom = (
-            tuple(verify_domain)
-            if verify_domain is not None
-            else tuple(range(1, self.n + 1))
-        )
-        support = x.support()
-        mask = np.zeros(self.n_prime, dtype=np.uint8)
-        counts_all = self._support_counts(support, mask)
-        yv = 0
-        for i in support:
-            for j0 in self._sets0[i - 1]:
-                yv |= 1 << (self.n_prime - 1 - int(j0))
-        y = BitString.from_int(self.n_prime, yv)
-        dom_idx = np.asarray(dom, dtype=np.int64) - 1
-        counts = counts_all[dom_idx]
-        agreements = np.empty(len(dom), dtype=np.float64)
-        sup_set = set(support)
-        for k, i in enumerate(dom):
-            c = int(counts[k])
-            if i in sup_set:
-                agreements[k] = c / self.d
-                if c < self._member_min:
-                    raise VerificationError("index %d under-covered by its set" % i)
-            else:
-                agreements[k] = 1 - c / self.d
-                if c > self._nonmember_max:
-                    raise VerificationError("index %d collides beyond eps" % i)
-        return y, agreements
+        dom, dom_idx, rows = self._domain(verify_domain)
+        mask, member, agreements, bad = self._agreement(x.support(), dom_idx, rows)
+        if bad.any():
+            k = int(bad.argmax())
+            if member[k]:
+                raise VerificationError("index %d under-covered by its set" % dom[k])
+            raise VerificationError("index %d collides beyond eps" % dom[k])
+        return BitString.from_bit_array(mask), agreements
 
     def instance(self, x: BitString) -> "MembershipInstance":
         y, agreements = self.encode(x)
@@ -434,24 +406,7 @@ class ComposedBuildReport:
     good_threshold: int
     base: MembershipBuildReport
 
-    def to_dict(self) -> Dict[str, object]:
-        out = {
-            "public_n": self.public_n,
-            "universe": self.universe,
-            "s": self.s,
-            "eps": self.eps,
-            "a": self.a,
-            "b": self.b,
-            "d": self.d,
-            "n_prime": self.n_prime,
-            "length": self.length,
-            "seed": self.seed,
-            "perm_trials": self.perm_trials,
-            "good_count": self.good_count,
-            "good_threshold": self.good_threshold,
-        }
-        out.update({"base_" + k: v for k, v in self.base.to_dict().items()})
-        return out
+    to_dict = _report_dict
 
 
 class BlockCodedMembership:
@@ -715,22 +670,19 @@ class ComposedInstance(IndexQueries):
         if target is None:
             target = st.good_indices[0] if st.good_indices else 1
         counts = st.block_counts(target)
-        locals_by_block: Dict[int, int] = {}
-        for p0 in st.perm[st.base._sets0[target - 1]]:
-            k = int(p0) // st.a
-            locals_by_block[k] = locals_by_block.get(k, 0) ^ (1 << (st.a - 1 - int(p0) % st.a))
-        out: List[int] = []
-        for k in sorted(locals_by_block, key=lambda k: (-int(counts[k]), k)):
-            if len(out) >= budget:
-                break
-            v = locals_by_block[k]
-            base = k * st.code.length
-            for z in range(st.code.length):
-                if (z & v).bit_count() & 1:
-                    out.append(base + z + 1)
-                    if len(out) >= budget:
-                        break
-        return out
+        held, e = np.divmod(st.perm[st.base._sets0[target - 1]], st.a)
+        local_masks = np.zeros(st.b, dtype=np.int64)
+        np.bitwise_or.at(local_masks, held, 1 << (st.a - 1 - e))
+        blocks = np.flatnonzero(counts)
+        blocks = blocks[np.argsort(-counts[blocks], kind="stable")]
+        # every nonzero local mask inverts exactly half of its block
+        budget = max(budget, 0)
+        blocks = blocks[: -(-budget // (st.code.length // 2))]
+        flips = [
+            k * st.code.length + 1 + np.flatnonzero(st.code.encode_value(int(local_masks[k])))
+            for k in blocks
+        ]
+        return np.concatenate([np.empty(0, dtype=np.int64), *flips])[:budget].tolist()
 
     def params(self) -> Dict[str, object]:
         out = self.structure.params()

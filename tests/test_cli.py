@@ -72,6 +72,24 @@ def test_bounds_missing_flag_exits_3(capsys):
     assert json.loads(err)["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("ip --r 2", "--n"),
+        ("ip --n 4", "--r"),
+        ("ip-comm --beta 0.5", "--n"),
+        ("membership --n 4", "--s"),
+        ("discrepancy --n 4", "--r"),
+    ],
+)
+def test_bounds_formula_flags_are_required(capsys, argv, flag):
+    code, out, err = run(capsys, "bounds", *argv.split())
+    assert code == 3 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "ParameterError"
+    assert body["message"].startswith(flag + " is required")
+
+
 def test_build_decode_attack_cycle(tmp_path, capsys):
     st = str(tmp_path / "had.ecds")
     body = run_json(

@@ -284,6 +284,21 @@ def test_substring_quarter_piece_flip_gives_half_error():
     assert exact_error(sch, BitString.unit(4, 3), CorruptionPattern([4])) == 0
 
 
+def test_piece_killer_is_first_offsets_with_both_bits_set():
+    # reference: scan the target's piece offset by offset
+    sch = SubstringHadamard(BitString.from01("101100111010"), 3)
+    for target in (None, 1, 4, 6, 12, BitString.from_indices(12, [5, 9])):
+        i = 1 if target is None else target
+        if isinstance(i, BitString):
+            i = i.support()[0]
+        k, e = sch.bit_location(i)
+        mask = (1 << (sch.chunk - e)) | (1 << (sch.chunk - e % sch.chunk - 1))
+        both = [sch.piece_offset(k) + z + 1 for z in range(sch.piece_len) if z & mask == mask]
+        assert len(both) == sch.piece_len // 4
+        for budget in (0, 1, 3, len(both), sch.piece_len + 1):
+            assert sch.piece_killer(budget, target) == both[:budget]
+
+
 def test_substring_rejects_bad_parameters():
     x = BitString.from01("1010")
     with pytest.raises(ParameterError):

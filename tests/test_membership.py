@@ -10,11 +10,12 @@ single codeword bit is flipped.
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from ecds.bits import BitString, ball_size
+from ecds.bits import BitString, BoundedWeightSpace, ball_size
 from ecds.errors import ConstructionError, ParameterError, VerificationError
 from ecds.membership import (
     BlockCodedMembership,
@@ -179,6 +180,98 @@ def test_report_dict_shape():
     assert d["verification_coverage"] == 1.0
 
 
+# -- reference recount over Python sets ------------------------------
+
+
+def recount(st, dom, support):
+    """The encoded union and, per domain index, its agreement, whether it
+    breaks its threshold and the message encode gives for it, from sets."""
+    union = set().union(*(st.probe_set(i) for i in support))
+    rows = []
+    for i in dom:
+        hits = len(union & set(st.probe_set(i)))
+        if i in support:
+            rows.append((hits / st.d, hits < st._member_min,
+                         "index %d under-covered by its set" % i))
+        else:
+            rows.append((1 - hits / st.d, hits > st._nonmember_max,
+                         "index %d collides beyond eps" % i))
+    return union, rows
+
+
+def reference_verify(st, dom, limit, seed):
+    total = ball_size(len(dom), st.s)
+    if total <= limit:
+        supports = [c for w in range(st.s + 1) for c in combinations(dom, w)]
+    else:
+        rng = np.random.default_rng(seed)
+        space = BoundedWeightSpace(len(dom), st.s)
+        supports = [
+            tuple(dom[i - 1] for i in space.unrank(int(rng.integers(space.size()))).support())
+            for _ in range(limit)
+        ]
+    min_agree, violations = 1.0, 0
+    for support in supports:
+        for agree, bad, _ in recount(st, dom, set(support))[1]:
+            min_agree = min(min_agree, agree)
+            violations += bad
+    return total <= limit, len(supports), total, min_agree, violations
+
+
+def colliding_structure():
+    """Random probe sets packed into a short vector: many non-members
+    collide beyond eps, so verification finds violations."""
+    rng = np.random.default_rng(17)
+    sets = [tuple(rng.choice(30, size=6, replace=False) + 1) for _ in range(14)]
+    return OneProbeMembership(14, 2, 0.34, sets, 30)
+
+
+REFERENCE_STRUCTURES = {
+    "colliding": colliding_structure,
+    "built": lambda: OneProbeMembership.build(14, 2, eps=0.35, seed=8, domain=range(2, 9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_STRUCTURES))
+@pytest.mark.parametrize("dom", [None, (2, 3, 5, 7, 8, 11)])
+@pytest.mark.parametrize("limit", [100_000, 9])
+def test_verify_matches_set_recount(name, dom, limit):
+    st = REFERENCE_STRUCTURES[name]()
+    full = tuple(range(1, st.n + 1)) if dom is None else dom
+    ver = st.verify(domain=dom, limit=limit, rng=np.random.default_rng(5))
+    exhaustive, checked, total, min_agree, violations = reference_verify(st, full, limit, 5)
+    assert ver.exhaustive == exhaustive == (limit == 100_000)
+    assert (ver.checked_supports, ver.total_supports) == (checked, total)
+    assert ver.min_agreement == min_agree
+    assert ver.violations == violations
+    assert (violations > 0) == (name == "colliding")
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_STRUCTURES))
+@pytest.mark.parametrize("dom", [None, (2, 3, 5, 7, 8, 11)])
+def test_encode_matches_set_recount(name, dom):
+    st = REFERENCE_STRUCTURES[name]()
+    full = tuple(range(1, st.n + 1)) if dom is None else dom
+    outcomes = set()
+    for w in range(st.s + 1):
+        for support in combinations(range(1, st.n + 1), w):
+            x = BitString.from_indices(st.n, list(support))
+            union, rows = recount(st, full, set(support))
+            broken = [msg for _, bad, msg in rows if bad]
+            if broken:
+                with pytest.raises(VerificationError) as info:
+                    st.encode(x, verify_domain=dom)
+                assert str(info.value) == broken[0]
+                outcomes.add("raised")
+                continue
+            y, agreements = st.encode(x, verify_domain=dom)
+            assert y.n == st.n_prime and set(y.support()) == union
+            assert agreements.dtype == np.float64
+            assert agreements.tolist() == [agree for agree, _, _ in rows]
+            outcomes.add("encoded")
+    assert outcomes == ({"raised", "encoded"} if name == "colliding" else {"encoded"})
+
+
 # -- composed ---------------------------------------------------------
 
 
@@ -331,3 +424,56 @@ def test_embed_places_data_in_public_prefix():
     assert emb.to01() == "1000"
     with pytest.raises(ParameterError):
         st.embed(BitString.from01("100"))
+
+
+def parity_loop_block_killer(inst, budget, target=None):
+    """block_killer as first written: per block the local mask of the
+    target's probe-set elements, then one parity test per offset."""
+    st = inst.structure
+    if target is None:
+        target = st.good_indices[0] if st.good_indices else 1
+    counts = st.block_counts(target)
+    locals_by_block = {}
+    for p0 in st.perm[st.base._sets0[target - 1]]:
+        k = int(p0) // st.a
+        locals_by_block[k] = locals_by_block.get(k, 0) ^ (1 << (st.a - 1 - int(p0) % st.a))
+    out = []
+    for k in sorted(locals_by_block, key=lambda k: (-int(counts[k]), k)):
+        if len(out) >= budget:
+            break
+        v = locals_by_block[k]
+        base = k * st.code.length
+        for z in range(st.code.length):
+            if (z & v).bit_count() & 1:
+                out.append(base + z + 1)
+                if len(out) >= budget:
+                    break
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, shared_blocks",
+    [
+        (hand_composed, False),
+        (toy_built, True),
+        (lambda: BlockCodedMembership.build(12, 1, eps=0.4, a=7, b=24, seed=2), True),
+    ],
+    ids=["hand", "toy", "a7"],
+)
+def test_block_killer_matches_parity_loop(make, shared_blocks):
+    st = make()
+    inst = st.instance(BitString.from_indices(st.public_n, [st.good_indices[0]]))
+    # blocks holding several elements of a probe set go first
+    assert shared_blocks == any(
+        st.block_counts(i).max() > 1 for i in range(1, st.public_n + 1)
+    )
+    half = st.code.length // 2
+    budgets = (0, 1, half // 2 + 1, half, half + 1, st.code.length, st.b * st.code.length + 3)
+    for target in (None, *range(1, st.public_n + 1)):
+        held = np.count_nonzero(st.block_counts(target or st.good_indices[0]))
+        for budget in budgets:
+            got = inst.block_killer(budget, target)
+            assert got == parity_loop_block_killer(inst, budget, target)
+            assert len(got) == min(budget, half * held)
+    with pytest.raises(ParameterError):
+        inst.block_killer(4, st.public_n + 1)
