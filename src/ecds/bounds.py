@@ -213,40 +213,33 @@ def discrepancy_verify(
     ortho = check_orthogonality(n, r)
     total = 2 ** (rows + cols) if rows + cols < 64 else None
     exhaustive = total is not None and total <= exhaustive_limit
-    checked = 0
-    violations = 0
-    max_ratio = 0.0
-
-    def _account(va, vb):
-        nonlocal checked, violations, max_ratio
-        ok, s = rectangle_within_bound(m, n, va, vb)
-        checked += 1
-        if not ok:
-            violations += 1
-        area = int(va.sum()) * int(vb.sum())
-        if area:
-            max_ratio = max(max_ratio, abs(s) / math.sqrt(area * (1 << n)))
-
     if exhaustive:
-        for amask in range(1 << rows):
-            va = (amask >> np.arange(rows)) & 1
-            for bmask in range(1 << cols):
-                vb = (bmask >> np.arange(cols)) & 1
-                _account(va, vb)
+        va = (np.arange(1 << rows)[:, None] >> np.arange(rows)) & 1
+        vb = (np.arange(1 << cols)[:, None] >> np.arange(cols)) & 1
+        sums = (va @ m @ vb.T).ravel()
+        area = np.outer(va.sum(axis=1), vb.sum(axis=1)).ravel()
     else:
+        if samples < 1:
+            raise ParameterError("need samples >= 1")
+        # drawn one rectangle at a time: these calls fix the report bytes
         rng = np.random.default_rng(derive_seed("discrepancy", seed, n, r))
-        for _ in range(samples):
-            _account(
-                rng.integers(0, 2, size=rows, dtype=np.int64),
-                rng.integers(0, 2, size=cols, dtype=np.int64),
-            )
+        va = np.empty((samples, rows), dtype=np.int64)
+        vb = np.empty((samples, cols), dtype=np.int64)
+        for k in range(samples):
+            va[k] = rng.integers(0, 2, size=rows, dtype=np.int64)
+            vb[k] = rng.integers(0, 2, size=cols, dtype=np.int64)
+        sums = ((va @ m) * vb).sum(axis=1)
+        area = va.sum(axis=1) * vb.sum(axis=1)
+    nonempty = area > 0
+    ratios = np.abs(sums[nonempty]) / np.sqrt((area[nonempty] << n).astype(np.float64))
     return DiscrepancyReport(
         n=n,
         r=r,
         orthogonal=ortho,
         mode="exhaustive" if exhaustive else "sample",
-        checked=checked,
-        violations=violations,
-        max_ratio=max_ratio,
+        checked=len(sums),
+        # the rectangle bound as an integer inequality, sum^2 <= |A| |B| 2^n
+        violations=int(np.count_nonzero(sums * sums > area << n)),
+        max_ratio=float(ratios.max(initial=0.0)),
         seed=seed,
     )

@@ -306,11 +306,9 @@ def cmd_bounds(args) -> int:
         if getattr(args, flag) is None:
             raise ParameterError("--%s is required for %s" % (flag, f))
     if f == "ip":
-        rep = bounds_mod.ip_ds_lower_bound(args.n, args.r, args.eps, args.p or 1)
-        body = rep.to_dict()
-        body["structure_length_table"] = bounds_mod.ball_size(
-            args.n, math.ceil(args.r / (args.p or 1))
-        )
+        p = 1 if args.p is None else args.p
+        body = bounds_mod.ip_ds_lower_bound(args.n, args.r, args.eps, p).to_dict()
+        body["structure_length_table"] = bounds_mod.ball_size(args.n, math.ceil(args.r / p))
     elif f == "ip-comm":
         body = bounds_mod.ip_comm_lower_bound(args.n, args.r, args.beta).to_dict()
     elif f == "one-probe":

@@ -104,6 +104,14 @@ class HadamardIp(Scheme):
     def queries(self):
         return (BitString.from_int(self.x.n, v) for v in range(self.code.length))
 
+    def wrong_counts(self, queries, pattern: CorruptionPattern, limit: int) -> List[int]:
+        """Exact at every query from one pairwise_error_counts call: no
+        coin is enumerated, so `limit` never applies; refuses s > 20."""
+        for query in queries:
+            self.check_query(query)
+        counts = pairwise_error_counts(self.x.n, pattern)
+        return [int(counts[query.value]) for query in queries]
+
     def random_query(self, rng) -> BitString:
         return BitString.random(self.x.n, rng)
 

@@ -1,7 +1,8 @@
 """Adversary strategies and error measurement.
 
 An attack turns a strategy into a concrete CorruptionPattern for a given
-scheme instance, never exceeding its flip budget.  estimate_error then
+scheme instance, never exceeding its flip budget; the greedy adversary
+climbs on the scheme's own Scheme.wrong_counts.  estimate_error then
 measures per-query decoding error under that pattern: exactly, by
 enumerating the decoder's coin space when it has at most 2^20 states,
 else by Monte Carlo with exact 99% Clopper-Pearson intervals, both
@@ -16,14 +17,13 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bits import BitString
 from .errors import ParameterError
-from .hadamard import HadamardIp, pairwise_error_counts
 from .oracle import (
     EXACT_STATE_LIMIT,
     MC_BLOCK,
@@ -49,9 +49,9 @@ ADVERSARY_KINDS = (
 class AdversaryStrategy:
     """A named attack with a hard flip budget.
 
-    target selects the attacked query for the targeted kinds; when left
-    None the harness aims each measurement's own query.  The eval_*
-    knobs only matter for greedy_local's hill climb.
+    target selects the attacked query; left None, estimate_error re-aims
+    killers at each measured query and climbs greedy_local once on the
+    worst of them.  eval_* only matter for greedy_local's hill climb.
     """
 
     kind: str
@@ -90,9 +90,9 @@ def attack(
 ) -> CorruptionPattern:
     """Concrete flip pattern for this scheme, within the strategy budget.
 
-    The target defaults to the strategy's.  Strategy kinds that need
-    structure the scheme does not have (for example piece_killer on a
-    membership instance) are rejected.
+    The target defaults to the strategy's; greedy_local without one aims
+    at the scheme's first eval_queries queries.  Kinds that need structure
+    the scheme lacks (piece_killer on membership, say) are rejected.
     """
     n = scheme.codeword.n
     kind = strategy.kind
@@ -106,47 +106,40 @@ def attack(
             strategy, rng.sample(range(1, n + 1), min(strategy.budget, n))
         )
     if kind == "greedy_local":
-        return _greedy_local(strategy, scheme, target)
+        if target is not None:
+            return _greedy_local(strategy, scheme, [target])
+        queries = list(islice(scheme.queries(), strategy.eval_queries))
+        return _greedy_local(strategy, scheme, queries)
     if kind in scheme.attacks:
         return _emit(strategy, getattr(scheme, kind)(strategy.budget, target))
     raise ParameterError("%s does not apply to %s" % (kind, scheme.name))
 
 
 def _greedy_objective(scheme, queries, trials, seed):
-    """Worst-over-queries error as a function of the pattern; exact fast
-    path for the 2-probe structure, otherwise enumeration or sampling."""
-    if isinstance(scheme, HadamardIp):
-        s = scheme.x.n
-
-        def f(pattern: CorruptionPattern) -> float:
-            return int(pairwise_error_counts(s, pattern).max()) / (1 << s)
-
-        return f
+    """Worst-over-queries error as a function of the pattern: exact from the
+    scheme's wrong counts up to 4096 coins, else sampled over `trials`."""
 
     def f(pattern: CorruptionPattern) -> float:
         worst = 0.0
-        for qi, q in enumerate(queries):
-            if scheme.coin_count(q) <= 4096:
-                err = float(exact_error(scheme, q, pattern))
-            else:
+        counts = scheme.wrong_counts(queries, pattern, 4096)
+        for qi, (q, wrong) in enumerate(zip(queries, counts)):
+            if wrong is None:
                 rng = stream("greedy-eval", seed, qi)
                 err = _sampled_wrong(scheme, q, pattern, trials, lambda _: rng) / trials
+            else:
+                err = wrong / scheme.coin_count(q)
             worst = max(worst, err)
         return worst
 
     return f
 
 
-def _greedy_local(strategy, scheme, target) -> CorruptionPattern:
-    """Hill-climb flip positions to maximize measured decoder error,
-    under a fixed evaluation budget; a heuristic lower bound on
-    adversarial power, not an optimum."""
+def _greedy_local(strategy, scheme, queries) -> CorruptionPattern:
+    """Hill-climb flip positions to maximize the worst measured decoder
+    error over `queries`, under a fixed evaluation budget; a heuristic
+    lower bound on adversarial power, not an optimum."""
     n = scheme.codeword.n
     rng = stream("attack-greedy", strategy.seed)
-    if target is not None:
-        queries = [target]
-    else:
-        queries = list(scheme.queries())[: strategy.eval_queries]
     objective = _greedy_objective(scheme, queries, strategy.eval_trials, strategy.seed)
     budget = min(strategy.budget, n)
     current = set(rng.sample(range(1, n + 1), budget))
@@ -173,8 +166,10 @@ def clopper_pearson(wrong: int, trials: int, conf: float = 0.99) -> Tuple[float,
     """Exact two-sided binomial confidence interval for wrong/trials."""
     if not 0 <= wrong <= trials or trials < 1:
         raise ParameterError("need 0 <= wrong <= trials")
-    # betaincinv(a, b, q) is the Beta(a, b) quantile, beta.ppf(q, a, b)
-    # without importing scipy.stats
+    # imported only here: scipy.special is most of an ecds process's import
+    # time and memory.  betaincinv(a, b, q) is beta.ppf(q, a, b)
+    from scipy.special import betaincinv
+
     alpha = 1 - conf
     lo = 0.0 if wrong == 0 else float(betaincinv(wrong, trials - wrong + 1, alpha / 2))
     hi = 1.0 if wrong == trials else float(betaincinv(wrong + 1, trials - wrong, 1 - alpha / 2))
@@ -315,20 +310,20 @@ def estimate_error(
 ) -> ExperimentReport:
     """Per-query and worst-query decoding error under one adversary.
 
-    Targeted strategies with no explicit target are re-aimed at each
-    measured query; untargeted ones contribute a single pattern reused
-    across queries.
+    Killers with no target are re-aimed at each measured query; every
+    other strategy gives one pattern for all of them.
     """
     if trials < 1:
         raise ParameterError("need trials >= 1")
     t0 = time.monotonic()
-    if queries is None:
-        queries = list(scheme.queries())
+    queries = list(scheme.queries() if queries is None else queries)
     if strategy is None:
         strategy = AdversaryStrategy(kind="none", budget=0)
     shared: Optional[CorruptionPattern] = None
     if strategy.kind in ("none", "random_flips") or strategy.target is not None:
         shared = attack(strategy, scheme, strategy.target)
+    elif strategy.kind == "greedy_local":
+        shared = _greedy_local(strategy, scheme, queries)
     results = []
     for query in queries:
         pattern = shared if shared is not None else attack(strategy, scheme, query)

@@ -121,19 +121,18 @@ class OneProbeMembership:
         self.eps = eps
         self.n_prime = n_prime
         self.d = len(probe_sets[0]) if len(probe_sets) else 0
-        if any(len(set(ps)) != len(ps) or len(ps) != self.d for ps in probe_sets):
-            raise ParameterError("probe sets must be equal-size and duplicate-free")
-        arr = np.asarray(probe_sets, dtype=np.int64).reshape(n, self.d)
+        try:
+            arr = np.sort(np.asarray(probe_sets, dtype=np.int64).reshape(n, self.d), axis=1)
+            if (np.diff(arr, axis=1) == 0).any():
+                raise ValueError
+        except ValueError:  # ragged rows, or a position repeated within a row
+            raise ParameterError("probe sets must be equal-size and duplicate-free") from None
         if arr.size and (arr.min() < 1 or arr.max() > n_prime):
             raise ParameterError("probe-set positions out of range")
-        self._sets0 = np.sort(arr, axis=1) - 1  # 0-based, each row ascending
+        self._sets0 = arr - 1  # 0-based, each row ascending
         self.report = report
 
-    # thresholds as exact integer counts; float eps only enters here
-    @property
-    def _member_min(self) -> int:
-        return math.ceil((1 - self.eps) * self.d - 1e-9)
-
+    # non-members' threshold as an exact integer count; float eps only enters here
     @property
     def _nonmember_max(self) -> int:
         return math.floor(self.eps * self.d + 1e-9)
@@ -209,22 +208,22 @@ class OneProbeMembership:
 
     def _agreement(
         self, support: Sequence[int], dom_idx: np.ndarray, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Encode the data set `support` and check it on the domain:
         dom_idx holds its 0-based indices, rows their probe sets.
 
         Returns the union mask over the n' positions and, per domain
-        index, whether it is a member, its agreement (the fraction of its
-        probe set inside the union for a member, outside it for a
-        non-member) and whether that count breaks its threshold."""
+        index, its agreement (the fraction of its probe set inside the
+        union for a member, always 1, and outside it for a non-member) and
+        whether a non-member collides beyond the eps threshold."""
         sup_idx = np.asarray(support, dtype=np.int64) - 1
         mask = np.zeros(self.n_prime, dtype=np.uint8)
         mask[self._sets0[sup_idx]] = 1
         hits = mask[rows].sum(axis=1)
         member = (dom_idx[:, None] == sup_idx).any(axis=1)
         agreements = np.where(member, hits / self.d, 1 - hits / self.d)
-        bad = np.where(member, hits < self._member_min, hits > self._nonmember_max)
-        return mask, member, agreements, bad
+        bad = ~member & (hits > self._nonmember_max)
+        return mask, agreements, bad
 
     def _domain(self, domain: Optional[Sequence[int]]):
         """The domain (default: the universe), its 0-based indices and
@@ -249,7 +248,7 @@ class OneProbeMembership:
         violations = 0
         checked = 0
         for support in self._supports(dom, total, exhaustive, limit, rng):
-            _, _, agreements, bad = self._agreement(support, dom_idx, rows)
+            _, agreements, bad = self._agreement(support, dom_idx, rows)
             min_agree = min(min_agree, agreements.min(initial=1.0))
             violations += int(bad.sum())
             checked += 1
@@ -284,12 +283,9 @@ class OneProbeMembership:
         if x.weight > self.s:
             raise ParameterError("data weight exceeds s")
         dom, dom_idx, rows = self._domain(verify_domain)
-        mask, member, agreements, bad = self._agreement(x.support(), dom_idx, rows)
+        mask, agreements, bad = self._agreement(x.support(), dom_idx, rows)
         if bad.any():
-            k = int(bad.argmax())
-            if member[k]:
-                raise VerificationError("index %d under-covered by its set" % dom[k])
-            raise VerificationError("index %d collides beyond eps" % dom[k])
+            raise VerificationError("index %d collides beyond eps" % dom[int(bad.argmax())])
         return BitString.from_bit_array(mask), agreements
 
     def instance(self, x: BitString) -> "MembershipInstance":

@@ -226,6 +226,16 @@ class Scheme:
     def truth(self, query):
         raise NotImplementedError
 
+    def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[int]]:
+        """Per query, how many coins decode wrongly under `pattern`, or None
+        where that means enumerating more than `limit` coins.  A scheme
+        that counts without enumerating overrides this."""
+        counts = [self.coin_count(query) for query in queries]
+        return [
+            None if count > limit else int(exact_error(self, query, pattern, limit) * count)
+            for query, count in zip(queries, counts)
+        ]
+
     def queries(self):
         """Every query this scheme answers, in a fixed order."""
         raise ParameterError(

@@ -179,6 +179,59 @@ def test_discrepancy_sampled_reproducible():
     assert c.max_ratio != a.max_ratio
 
 
+def loop_discrepancy(m, n, rectangles):
+    """checked, violations and max_ratio one rectangle at a time."""
+    checked = violations = 0
+    max_ratio = 0.0
+    for va, vb in rectangles:
+        ok, s = rectangle_within_bound(m, n, va, vb)
+        checked += 1
+        violations += not ok
+        area = int(va.sum()) * int(vb.sum())
+        if area:
+            max_ratio = max(max_ratio, abs(s) / math.sqrt(area * (1 << n)))
+    return checked, violations, max_ratio
+
+
+@pytest.mark.parametrize("scale", [1, 3])
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (2, 2), (3, 1), (4, 2)])
+def test_discrepancy_verify_matches_rectangle_loop(monkeypatch, scale, n, r):
+    """The batched rectangle sums equal the per-rectangle route, with
+    violations forced by scaling the matrix past the bound."""
+    import ecds.bounds as bounds
+
+    m = scale * signed_ip_matrix(n, r)
+    monkeypatch.setattr(bounds, "signed_ip_matrix", lambda n, r: m)
+    rows, cols = m.shape
+    rep = discrepancy_verify(n, r, samples=300, seed=2)
+    if rep.mode == "exhaustive":
+        rectangles = [
+            ((a >> np.arange(rows)) & 1, (b >> np.arange(cols)) & 1)
+            for a in range(1 << rows)
+            for b in range(1 << cols)
+        ]
+    else:
+        rng = np.random.default_rng(bounds.derive_seed("discrepancy", 2, n, r))
+        rectangles = [
+            (
+                rng.integers(0, 2, size=rows, dtype=np.int64),
+                rng.integers(0, 2, size=cols, dtype=np.int64),
+            )
+            for _ in range(300)
+        ]
+    assert rep.mode == ("sample" if n == 4 else "exhaustive")
+    assert (rep.checked, rep.violations, rep.max_ratio) == loop_discrepancy(m, n, rectangles)
+    assert (rep.violations > 0) == (scale > 1)
+
+
+def test_discrepancy_sampling_needs_samples():
+    for samples in (0, -5):
+        with pytest.raises(ParameterError):
+            discrepancy_verify(4, 2, samples=samples)
+    # exhaustive mode draws nothing, so the sample count does not matter
+    assert discrepancy_verify(2, 1, samples=0).checked == 2 ** (4 + 3)
+
+
 def test_discrepancy_report_dict():
     d = discrepancy_verify(2, 2).to_dict()
     assert d["formula"] == "rectangle-discrepancy"

@@ -90,6 +90,20 @@ def test_bounds_formula_flags_are_required(capsys, argv, flag):
     assert body["message"].startswith(flag + " is required")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "ip --n 4 --r 2 --eps 0.25 --p 0",
+        "discrepancy --n 4 --r 2 --samples 0",
+        "discrepancy --n 4 --r 2 --samples -5",
+    ],
+)
+def test_bounds_degenerate_value_is_refused(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv.split())
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
+
 def test_build_decode_attack_cycle(tmp_path, capsys):
     st = str(tmp_path / "had.ecds")
     body = run_json(
@@ -521,14 +535,16 @@ def test_equality_query_enumeration_is_refused(tmp_path, capsys, monkeypatch, ar
 
 def test_cli_import_leaves_out_scipy_stats():
     """scipy.stats would be most of every ecds process's import time and
-    memory, and the CLI needs none of it."""
+    memory, and the CLI needs none of it; scipy.special is loaded only
+    when a Monte Carlo interval is computed."""
     src = str(Path(ecds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ecds.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import sys, ecds.cli; "
+         "print([m in sys.modules for m in ('scipy.stats', 'scipy.special')])"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False]\n"
 
 
 SCHEME_FLAGS = {

@@ -210,12 +210,17 @@ def test_pairwise_error_counts_size_guard():
     fraction=st.floats(0.0, 1.0),
 )
 def test_greedy_objective_matches_oracle_route(s, seed, fraction):
+    """The transform-based counts the greedy adversary climbs on equal the
+    coin enumeration through the plan, query by query."""
     rng = random.Random(seed)
     n = 1 << s
     sch = HadamardIp(BitString.random(s, rng))
     pattern = CorruptionPattern.random(n, round(fraction * n), rng)
-    objective = _greedy_objective(sch, [], 0, 0)
-    assert objective(pattern) == float(max(exact_error(sch, y, pattern) for y in sch.queries()))
+    queries = list(sch.queries())
+    counts = sch.wrong_counts(queries, pattern, limit=0)
+    assert counts == [exact_error(sch, y, pattern) * n for y in queries]
+    objective = _greedy_objective(sch, queries, 0, 0)
+    assert objective(pattern) == max(counts) / n
 
 
 def test_error_at_most_twice_flip_fraction():

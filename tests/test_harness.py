@@ -31,6 +31,23 @@ from ecds.membership import BlockCodedMembership, OneProbeMembership
 from ecds.oracle import CorruptionPattern, exact_error
 
 
+def test_harness_imports_no_scheme_module():
+    """The harness reaches every scheme through the Scheme interface, so
+    a class test on a concrete scheme cannot creep back in."""
+    import ast
+
+    import ecds.harness
+
+    tree = ast.parse(Path(ecds.harness.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"hadamard", "inner_product", "membership"}
+
+
 def test_strategy_validation():
     with pytest.raises(ParameterError):
         AdversaryStrategy(kind="nope", budget=1)

@@ -48,10 +48,8 @@ def hand_structure(eps=0.4):
 
 def test_thresholds_are_integer_counts():
     st = hand_structure()
-    assert st._member_min == 3
     assert st._nonmember_max == 2
     st = hand_structure(eps=0.2)
-    assert st._member_min == 4
     assert st._nonmember_max == 1
 
 
@@ -72,6 +70,29 @@ def test_structure_validation():
         OneProbeMembership(2, 1, 0.1, [(1, 1), (2, 3)], 8)
     with pytest.raises(ParameterError):
         OneProbeMembership(2, 1, 0.1, [(1, 2), (3,)], 8)
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ([(1, 2, 3), (4, 5)], "equal-size and duplicate-free"),
+        ([(1, 2), (3, 4, 5)], "equal-size and duplicate-free"),
+        ([(3, 1, 3), (4, 5, 6)], "equal-size and duplicate-free"),
+        ([(1, 2, 3), (6, 4, 6)], "equal-size and duplicate-free"),
+        (np.array([(2, 7, 2), (1, 4, 5)]), "equal-size and duplicate-free"),
+        ([(1, 2, 9), (4, 5, 6)], "out of range"),
+        ([(0, 2, 3), (4, 5, 6)], "out of range"),
+    ],
+    ids=["ragged-short", "ragged-long", "dup-first", "dup-last", "dup-array",
+         "past-end", "zero"],
+)
+def test_probe_set_rows_are_checked(sets, message):
+    """Rows are sorted once and checked by differences: a repeat anywhere
+    in a row, ragged rows and positions outside [1, n'] are refused."""
+    with pytest.raises(ParameterError, match=message):
+        OneProbeMembership(2, 1, 0.1, sets, 8)
+    st = OneProbeMembership(2, 1, 0.1, [(5, 1, 3), (8, 2, 7)], 8)
+    assert (st.probe_set(1), st.probe_set(2)) == ((1, 3, 5), (2, 7, 8))
 
 
 def test_hand_encoding_and_agreement():
@@ -191,8 +212,7 @@ def recount(st, dom, support):
     for i in dom:
         hits = len(union & set(st.probe_set(i)))
         if i in support:
-            rows.append((hits / st.d, hits < st._member_min,
-                         "index %d under-covered by its set" % i))
+            rows.append((hits / st.d, False, None))
         else:
             rows.append((1 - hits / st.d, hits > st._nonmember_max,
                          "index %d collides beyond eps" % i))
@@ -216,6 +236,20 @@ def reference_verify(st, dom, limit, seed):
             min_agree = min(min_agree, agree)
             violations += bad
     return total <= limit, len(supports), total, min_agree, violations
+
+
+@pytest.mark.parametrize("name", ["colliding", "built"])
+def test_members_agree_exactly_on_every_support(name):
+    """A member's whole probe set lies in the union, so it agrees at
+    exactly 1.0 and never breaks a threshold, collisions or not."""
+    st = REFERENCE_STRUCTURES[name]()
+    dom, dom_idx, rows = st._domain(None)
+    for w in range(1, st.s + 1):
+        for support in combinations(dom, w):
+            _, agreements, bad = st._agreement(support, dom_idx, rows)
+            members = np.asarray(support) - 1
+            assert agreements[members].tolist() == [1.0] * w
+            assert not bad[members].any()
 
 
 def colliding_structure():

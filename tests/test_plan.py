@@ -156,6 +156,33 @@ def test_batch_route_matches_oracle_route(name, make, queries, seed, fraction):
             assert exact_error(scheme, query, pattern) == tally
 
 
+@pytest.mark.parametrize("name, make, queries", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_default_wrong_counts_match_coin_tally(name, make, queries):
+    """Scheme.wrong_counts, the greedy adversary's objective, counts
+    exactly what decoding every coin through the oracle counts, and
+    refuses (None) exactly the queries whose coin space exceeds limit."""
+    scheme = make()
+    rng = random.Random(name)
+    counts = [scheme.coin_count(q) for q in queries]
+    for pattern in (
+        CorruptionPattern.empty(),
+        CorruptionPattern.random(scheme.codeword.n, scheme.codeword.n // 8, rng),
+    ):
+        tally = [
+            sum(
+                scheme.decode_with_coins(scheme.oracle(pattern, q), q, scheme.coin_from_index(q, i))
+                != scheme.truth(q)
+                for i in range(count)
+            )
+            for q, count in zip(queries, counts)
+        ]
+        assert Scheme.wrong_counts(scheme, queries, pattern, max(counts)) == tally
+        assert scheme.wrong_counts(queries, pattern, max(counts)) == tally
+        for limit in sorted(set(counts) | {c - 1 for c in counts}):
+            got = Scheme.wrong_counts(scheme, queries, pattern, limit)
+            assert got == [w if c <= limit else None for w, c in zip(tally, counts)]
+
+
 def test_probe_distribution_skips_unread_slots():
     # no good block for index 1: the block decoder never reads
     inst = _hand_composed().instance(_bits("10"), decoder="block")
