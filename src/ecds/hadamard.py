@@ -18,7 +18,7 @@ import numpy as np
 
 from .bits import BitString, dot_mod2
 from .errors import InfeasibleSizeError, ParameterError
-from .oracle import Codeword, CorruptionPattern, Scheme
+from .oracle import Codeword, CorruptionPattern, Scheme, flip_mask, packed_bits
 
 MAX_EXPONENT = 26  # 2^26 bits = 8 MiB packed; beyond that, refuse
 
@@ -68,6 +68,41 @@ def pair_reads(base, z, y) -> np.ndarray:
     return np.stack([base + z + 1, base + (z ^ y) + 1], axis=-1)
 
 
+def pair_read_counter(codeword: Codeword, pattern: CorruptionPattern, length: int):
+    """Exact wrong counts of pair reads under `pattern`, no offset enumerated.
+
+    Returns count(base, unit, truth), arrays broadcast: for the read of
+    offsets z and z xor unit in the length-`length` piece stored after
+    0-based position base (a multiple of length), how many of the
+    `length` offsets z XOR to something other than truth.
+
+    With F the piece's flips, an offset is hit exactly when one of its
+    two probes is flipped, which happens on D = 2|{f in F : f^unit not
+    in F}| offsets.  The clean read at any offset is the uncorrupted bit
+    at unit, so the count is D where that bit equals truth and
+    length - D where it does not.  The flips are sorted and masked once
+    per pattern; each read costs O(|F|).
+    """
+    flips = pattern.array - 1  # 0-based, ascending
+    flipped = flip_mask(pattern, codeword.n)
+    clean = np.frombuffer(codeword.bits._data, dtype=np.uint8)
+
+    def count(base, unit, truth) -> np.ndarray:
+        base, unit, truth = (
+            np.ravel(v).astype(np.int64) for v in np.broadcast_arrays(base, unit, truth)
+        )
+        lo = np.searchsorted(flips, base)
+        sizes = np.searchsorted(flips, base + length) - lo
+        # the flips of every piece read, concatenated, with their read's index
+        owner = np.repeat(np.arange(len(base)), sizes)
+        f = flips[np.arange(len(owner)) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)]
+        lone = packed_bits(flipped, f ^ unit[owner]) == 0
+        hit = 2 * np.bincount(owner[lone], minlength=len(base))
+        return np.where(packed_bits(clean, base + unit) == truth, hit, length - hit)
+
+    return count
+
+
 def xor_all(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(bits, axis=1)
 
@@ -105,12 +140,11 @@ class HadamardIp(Scheme):
         return (BitString.from_int(self.x.n, v) for v in range(self.code.length))
 
     def wrong_counts(self, queries, pattern: CorruptionPattern, limit: int) -> List[int]:
-        """Exact at every query from one pairwise_error_counts call: no
-        coin is enumerated, so `limit` never applies; refuses s > 20."""
-        for query in queries:
-            self.check_query(query)
-        counts = pairwise_error_counts(self.x.n, pattern)
-        return [int(counts[query.value]) for query in queries]
+        """Exact at every query from one pair-read count each (the whole
+        code is one piece, the unit is y), so `limit` never applies;
+        O(|F|) time and memory per query."""
+        count = pair_read_counter(self.codeword, pattern, self.code.length)
+        return [int(count(0, query.value, self.truth(query))[0]) for query in queries]
 
     def random_query(self, rng) -> BitString:
         return BitString.random(self.x.n, rng)
@@ -143,7 +177,7 @@ def pairwise_error_counts(s: int, pattern: CorruptionPattern) -> np.ndarray:
     if not pattern.fits(n):
         raise ParameterError("flip position beyond codeword length")
     spectrum = np.zeros(n, dtype=np.int64)
-    spectrum[np.fromiter(pattern.flips, dtype=np.int64, count=pattern.weight) - 1] = 1
+    spectrum[pattern.array - 1] = 1
     _walsh_hadamard(spectrum)
     spectrum *= spectrum
     _walsh_hadamard(spectrum)
@@ -197,6 +231,25 @@ class MajorityAmplified(Scheme):
 
     def truth(self, query):
         return self.inner.truth(query)
+
+    def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[int]]:
+        """Exact wherever the inner scheme counts and answers one bit: the
+        t runs use independent coins, so the majority is wrong with
+        majority_error(inner error, t).  Queries with wider answers go to
+        the default in one call, which enumerates up to `limit`."""
+        wide = [isinstance(t, BitString) and t.n > 1 for t in map(self.truth, queries)]
+        narrow = [q for q, w in zip(queries, wide) if not w]
+        inner = iter(self.inner.wrong_counts(narrow, pattern, limit))
+        broad = [q for q, w in zip(queries, wide) if w]
+        enumerated = iter(super().wrong_counts(broad, pattern, limit))
+        out: List[Optional[int]] = []
+        for query, is_wide in zip(queries, wide):
+            wrong = next(enumerated if is_wide else inner)
+            if not is_wide and wrong is not None:
+                err = majority_error(Fraction(wrong, self.inner.coin_count(query)), self.t)
+                wrong = int(self.coin_count(query) * err)
+            out.append(wrong)
+        return out
 
     def queries(self):
         return self.inner.queries()

@@ -3,10 +3,13 @@
 An attack turns a strategy into a concrete CorruptionPattern for a given
 scheme instance, never exceeding its flip budget; the greedy adversary
 climbs on the scheme's own Scheme.wrong_counts.  estimate_error then
-measures per-query decoding error under that pattern: exactly, by
-enumerating the decoder's coin space when it has at most 2^20 states,
-else by Monte Carlo with exact 99% Clopper-Pearson intervals, both
-through the scheme's probe plan.  Reports are deterministic functions of
+measures per-query decoding error under that pattern.  It is exact when
+the decoder's coin space has at most exact_limit (2^20) states, by
+enumerating them through the scheme's probe plan, and exact past that
+when the scheme's wrong_counts counts without enumerating (every
+Hadamard pair-read decoder does); otherwise it samples the plan by Monte
+Carlo with exact 99% Clopper-Pearson intervals.  exact_limit caps
+enumeration only.  Reports are deterministic functions of
 (parameters, seed) and serialize to canonical JSON and CSV; wall time is
 carried alongside but kept out of the canonical bytes.
 """
@@ -18,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -176,17 +179,25 @@ def clopper_pearson(wrong: int, trials: int, conf: float = 0.99) -> Tuple[float,
     return lo, hi
 
 
-@dataclass(frozen=True)
+# slots, and error derived on demand: a caller that keeps many reports
+# keeps no per-result __dict__ or strings
+@dataclass(frozen=True, slots=True)
 class QueryResult:
     query: str
     mode: str  # exact | mc
     trials: int
     wrong: int
-    error: float
-    error_exact: Optional[str]
     ci_low: float
     ci_high: float
     pattern_weight: int
+
+    @property
+    def error(self) -> float:
+        return self.wrong / self.trials
+
+    @property
+    def error_exact(self) -> Optional[str]:
+        return str(Fraction(self.wrong, self.trials)) if self.mode == "exact" else None
 
     @property
     def ci_half_width(self) -> float:
@@ -210,7 +221,7 @@ class QueryResult:
 @dataclass(frozen=True)
 class ExperimentReport:
     scheme: str
-    params: Dict[str, object]
+    params: Mapping[str, object]  # the scheme's, shared read-only
     length: int
     budget: int
     delta: float
@@ -226,7 +237,7 @@ class ExperimentReport:
         """Everything except wall time, ready for stable serialization."""
         return {
             "scheme": self.scheme,
-            "params": self.params,
+            "params": dict(self.params),
             "length": self.length,
             "budget": self.budget,
             "delta": self.delta,
@@ -271,28 +282,44 @@ def _sampled_wrong(scheme, query, pattern, trials, block_rng) -> int:
     return count_wrong(scheme, query, chunks(), corrupt(scheme.codeword, pattern))
 
 
-def _measure_query(scheme, query, pattern, trials, seed, exact_limit, conf):
-    count = scheme.coin_count(query)
-    label = scheme.query_label(query)
-    exact = count <= exact_limit
-    if exact:
-        trials = count
-        wrong = int(exact_error(scheme, query, pattern, limit=exact_limit) * count)
-        lo = hi = wrong / count
-    else:
+def _measure(scheme, queries, pattern, trials, seed, exact_limit, conf) -> List[QueryResult]:
+    """One result per query under one pattern: coins enumerated up to
+    exact_limit, past it counted by one wrong_counts call over those
+    queries, and sampled where that declines."""
+    coins = [scheme.coin_count(query) for query in queries]
+    above = [i for i, count in enumerate(coins) if count > exact_limit]
+    counted = {}
+    if above:
+        counts = scheme.wrong_counts([queries[i] for i in above], pattern, exact_limit)
+        counted = dict(zip(above, counts))
+    results = []
+    for i, (query, count) in enumerate(zip(queries, coins)):
+        label = scheme.query_label(query)
+        if count <= exact_limit:
+            wrong = int(exact_error(scheme, query, pattern, limit=exact_limit) * count)
+        else:
+            wrong = counted[i]
+        if wrong is not None:
+            results.append(_result(label, count, wrong, pattern))
+            continue
         # each block of MC_BLOCK trials draws from its own stream, seeded
         # from (seed, query, block index), so trial t's coins depend only on t
         wrong = _sampled_wrong(
             scheme, query, pattern, trials, lambda block: stream("mc", seed, label, block)
         )
-        lo, hi = clopper_pearson(wrong, trials, conf)
+        results.append(_result(label, trials, wrong, pattern, clopper_pearson(wrong, trials, conf)))
+    return results
+
+
+def _result(label, trials, wrong, pattern, ci=None) -> QueryResult:
+    """Exact without an interval: the error is then its own interval."""
+    error = wrong / trials
+    lo, hi = (error, error) if ci is None else ci
     return QueryResult(
         query=label,
-        mode="exact" if exact else "mc",
+        mode="exact" if ci is None else "mc",
         trials=trials,
         wrong=wrong,
-        error=wrong / trials,
-        error_exact=str(Fraction(wrong, trials)) if exact else None,
         ci_low=lo,
         ci_high=hi,
         pattern_weight=pattern.weight,
@@ -311,7 +338,10 @@ def estimate_error(
     """Per-query and worst-query decoding error under one adversary.
 
     Killers with no target are re-aimed at each measured query; every
-    other strategy gives one pattern for all of them.
+    other strategy gives one pattern for all of them.  A query is exact
+    when its coins are at most exact_limit (enumerated) or the scheme's
+    wrong_counts counts them; only then does it fall back to `trials`
+    Monte Carlo draws.  exact_limit caps enumeration, not exactness.
     """
     if trials < 1:
         raise ParameterError("need trials >= 1")
@@ -324,17 +354,18 @@ def estimate_error(
         shared = attack(strategy, scheme, strategy.target)
     elif strategy.kind == "greedy_local":
         shared = _greedy_local(strategy, scheme, queries)
-    results = []
-    for query in queries:
-        pattern = shared if shared is not None else attack(strategy, scheme, query)
-        results.append(
-            _measure_query(scheme, query, pattern, trials, seed, exact_limit, confidence)
-        )
+    if shared is not None:
+        results = _measure(scheme, queries, shared, trials, seed, exact_limit, confidence)
+    else:
+        results = []
+        for query in queries:
+            pattern = attack(strategy, scheme, query)
+            results += _measure(scheme, [query], pattern, trials, seed, exact_limit, confidence)
     worst = max((r.error for r in results), default=0.0)
     n = scheme.codeword.n
     return ExperimentReport(
         scheme=scheme.name,
-        params=scheme.params(),
+        params=scheme.frozen_params,
         length=n,
         budget=strategy.budget,
         delta=strategy.budget / n,

@@ -15,6 +15,7 @@ with 2 probes (times an odd repetition factor under majority voting).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, islice, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +30,14 @@ from .bits import (
     split_query,
 )
 from .errors import InfeasibleSizeError, ParameterError
-from .hadamard import MAX_EXPONENT, HadamardCode, pair_reads, xor_all
+from .hadamard import (
+    MAX_EXPONENT,
+    HadamardCode,
+    majority_error,
+    pair_read_counter,
+    pair_reads,
+    xor_all,
+)
 from .oracle import Codeword, Scheme
 
 
@@ -205,15 +213,21 @@ class SubstringHadamard(LowWeightQueries):
         self.check_query(query)
         return (self.piece_len,) * (self.t * query.weight)
 
+    def _reads(self, query: BitString) -> Tuple[np.ndarray, np.ndarray]:
+        """Per requested bit, first to last: the offset of its piece and
+        its unit vector there."""
+        self.check_query(query)
+        locations = [self.bit_location(i) for i in query.support()]
+        base = np.array([self.piece_offset(k) for k, _ in locations], dtype=np.int64)
+        unit = np.array([1 << (self.chunk - e) for _, e in locations], dtype=np.int64)
+        return base, unit
+
     def plan(self, query: BitString, coins: np.ndarray):
         """For each requested bit i, t offsets z in its piece, each read
         at z and z xor the unit vector of i; the answer packs the
         majority bits, the first requested bit most significant."""
-        self.check_query(query)
+        base, unit = self._reads(query)
         w = query.weight
-        locations = [self.bit_location(i) for i in query.support()]
-        base = np.array([self.piece_offset(k) for k, _ in locations], dtype=np.int64)
-        unit = np.array([1 << (self.chunk - e) for _, e in locations], dtype=np.int64)
         z = coins.reshape(len(coins), w, self.t)
         positions = pair_reads(base[:, None], z, unit[:, None])
         # answers past 62 bits are python integers
@@ -233,6 +247,22 @@ class SubstringHadamard(LowWeightQueries):
     def truth(self, query: BitString) -> BitString:
         self.check_query(query)
         return extract_substring(self.x, query)
+
+    def wrong_counts(self, queries, pattern, limit: int) -> List[int]:
+        """Exact at every query from one pair-read count per requested bit,
+        so `limit` never applies.  A bit whose read errs on a fraction p of
+        its offsets is wrong after the vote with majority_error(p, t), and
+        the bits use independent coins, so the answer is right with the
+        product of their chances."""
+        count = pair_read_counter(self.codeword, pattern, self.piece_len)
+        out = []
+        for query in queries:
+            base, unit = self._reads(query)
+            right = Fraction(1)
+            for wrong in count(base, unit, self.truth(query).to_bit_array()).tolist():
+                right *= 1 - majority_error(Fraction(wrong, self.piece_len), self.t)
+            out.append(int(self.coin_count(query) * (1 - right)))
+        return out
 
     def piece_killer(self, budget: int, target=None) -> List[int]:
         """Corrupt a quarter of one piece: all z with two chosen coordinates

@@ -35,7 +35,7 @@ from .errors import (
     ParameterError,
     VerificationError,
 )
-from .hadamard import MAX_EXPONENT, HadamardCode, pair_reads, xor_all
+from .hadamard import MAX_EXPONENT, HadamardCode, pair_read_counter, pair_reads, xor_all
 from .oracle import Codeword, Scheme
 from .seeding import derive_seed
 
@@ -625,29 +625,57 @@ class ComposedInstance(IndexQueries):
             return (st.b * 2 * st.code.length,)
         return (st.base.d * st.code.length,)
 
-    def plan(self, query: int, coins: np.ndarray):
-        """The coin picks a block k0 and a fallback bit fb (block decoder)
-        or an element of P_i (direct), and an offset z.  Local bit e of k0
-        is read at z and z xor unit(e); a block not good for i answers fb."""
+    def _reads(self, query: int) -> Tuple[np.ndarray, np.ndarray]:
+        """What the coin's pick chooses among: each block (block decoder)
+        or each element of P_i (direct), as the block and the unit vector
+        of i's local bit in it; unit 0 marks a block not good for i,
+        where nothing is read."""
         self.check_query(query)
         st = self.structure
-        length = st.code.length
         if self.decoder == "block":
-            k0, rest = np.divmod(coins[:, 0], 2 * length)
+            local = st._block_info[query - 1][1]
+            return np.arange(st.b), np.where(local > 0, 1 << (st.a - local), 0)
+        blocks, e0 = np.divmod(st.perm[st.base._sets0[query - 1]], st.a)
+        return blocks, 1 << (st.a - 1 - e0)
+
+    def plan(self, query: int, coins: np.ndarray):
+        """The coin picks a block and a fallback bit fb (block decoder) or
+        an element of P_i (direct), and an offset z.  Local bit e of the
+        block is read at z and z xor unit(e); a block not good for i
+        answers fb."""
+        blocks, units = self._reads(query)
+        length = self.structure.code.length
+        if self.decoder == "block":
+            pick, rest = np.divmod(coins[:, 0], 2 * length)
             fb, z = np.divmod(rest, length)
-            e = st._block_info[query - 1][1][k0]
         else:
-            j, z = np.divmod(coins[:, 0], length)
+            pick, z = np.divmod(coins[:, 0], length)
             fb = 0
-            k0, e0 = np.divmod(st.perm[st.base._sets0[query - 1][j]], st.a)
-            e = e0 + 1
-        read = e > 0
-        positions = np.where(read[:, None], pair_reads(k0 * length, z, 1 << (st.a - e)), 0)
+        unit = units[pick]
+        read = unit > 0
+        positions = np.where(read[:, None], pair_reads(blocks[pick] * length, z, unit), 0)
 
         def combine(bits: np.ndarray) -> np.ndarray:
             return np.where(read, bits[:, 0] ^ bits[:, 1], fb)
 
         return positions, combine
+
+    def wrong_counts(self, queries, pattern, limit: int) -> List[int]:
+        """Exact at every query from one pair-read count per pick, so
+        `limit` never applies.  The block decoder takes each good block's
+        count twice (once per fallback bit) and, for a block not good for
+        i, the half of its 2L coins whose fallback bit is wrong."""
+        length = self.structure.code.length
+        count = pair_read_counter(self.codeword, pattern, length)
+        out = []
+        for query in queries:
+            blocks, units = self._reads(query)
+            read = units > 0
+            wrong = int(count(blocks[read] * length, units[read], self.truth(query)).sum())
+            if self.decoder == "block":
+                wrong = 2 * wrong + length * int(np.count_nonzero(~read))
+            out.append(wrong)
+        return out
 
     def queries(self):
         return iter(self.structure.good_indices)
@@ -658,7 +686,7 @@ class ComposedInstance(IndexQueries):
             return rng.choice(st.good_indices)
         return rng.randrange(1, st.public_n + 1)
 
-    def block_killer(self, budget: int, target=None) -> List[int]:
+    def block_killer(self, budget: int, target=None) -> np.ndarray:
         """Flip the inner-code positions that invert the target index's
         bits (the first good index by default), block by block, heaviest
         blocks first."""
@@ -678,7 +706,7 @@ class ComposedInstance(IndexQueries):
             k * st.code.length + 1 + np.flatnonzero(st.code.encode_value(int(local_masks[k])))
             for k in blocks
         ]
-        return np.concatenate([np.empty(0, dtype=np.int64), *flips])[:budget].tolist()
+        return np.concatenate([np.empty(0, dtype=np.int64), *flips])[:budget]
 
     def params(self) -> Dict[str, object]:
         out = self.structure.params()

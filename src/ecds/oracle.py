@@ -12,7 +12,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -47,17 +49,19 @@ class Codeword:
 
 
 class CorruptionPattern:
-    """A set of positions the adversary flips, fixed before decoding."""
+    """A set of positions the adversary flips, fixed before decoding.
 
-    __slots__ = ("flips", "_max")
+    `array` holds the positions once, ascending and without repeats, as a
+    read-only int64 array; `flips`, the same positions as a frozenset, is
+    built on first use.  Positions are integers >= 1, given as any
+    iterable of Python ints or as an integer numpy array.
+    """
+
+    __slots__ = ("array", "_flips")
 
     def __init__(self, flips: Iterable[int] = ()):
-        fs = frozenset(flips)
-        for j in fs:
-            if not isinstance(j, int) or j < 1:
-                raise ParameterError("positions are integers >= 1")
-        self.flips = fs
-        self._max = max(fs) if fs else 0
+        self.array = _position_array(flips)
+        self._flips: Optional[frozenset] = None
 
     @classmethod
     def empty(cls) -> "CorruptionPattern":
@@ -77,12 +81,22 @@ class CorruptionPattern:
         return math.floor(delta * n)
 
     @property
+    def flips(self) -> frozenset:
+        if self._flips is None:
+            self._flips = frozenset(self.array.tolist())
+        return self._flips
+
+    @property
     def weight(self) -> int:
-        return len(self.flips)
+        return len(self.array)
 
     @property
     def positions(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.flips))
+        return tuple(self.array.tolist())
+
+    @property
+    def _max(self) -> int:
+        return int(self.array[-1]) if len(self.array) else 0
 
     def fits(self, n: int, delta: Optional[float] = None) -> bool:
         """Whether all flips land in [1, n], within floor(delta*n) if given."""
@@ -94,13 +108,52 @@ class CorruptionPattern:
         return j in self.flips
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CorruptionPattern) and self.flips == other.flips
+        return isinstance(other, CorruptionPattern) and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash(("pattern", self.flips))
+        return hash(("pattern", self.array.tobytes()))
 
     def __repr__(self) -> str:
         return "CorruptionPattern(weight=%d)" % self.weight
+
+
+def _position_array(flips) -> np.ndarray:
+    """Flip positions as a sorted, duplicate-free, read-only int64 array;
+    refuses anything but integers >= 1 (bools count as 0 and 1, as for
+    Python ints)."""
+    try:
+        arr = flips if isinstance(flips, np.ndarray) else np.array(list(flips))
+    except (TypeError, ValueError):  # not iterable, or ragged
+        raise ParameterError("positions are integers >= 1") from None
+    if arr.size == 0:
+        arr = np.empty(0, dtype=np.int64)
+    elif arr.ndim != 1 or arr.dtype.kind not in "biu" or (arr.dtype.kind == "u" and arr.max() >> 63):
+        raise ParameterError("positions are integers >= 1")
+    arr = np.sort(arr.astype(np.int64))
+    if len(arr) and arr[0] < 1:
+        raise ParameterError("positions are integers >= 1")
+    distinct = arr[1:] != arr[:-1]
+    if not distinct.all():
+        arr = arr[np.concatenate(([True], distinct))]
+    arr.flags.writeable = False
+    return arr
+
+
+def flip_mask(pattern: CorruptionPattern, n: int) -> np.ndarray:
+    """The pattern over n positions as packed bits, position 1 the most
+    significant bit of byte 0 (a BitString's layout)."""
+    if not pattern.fits(n):
+        raise ParameterError("flip position beyond codeword length")
+    j = pattern.array - 1
+    mask = np.zeros((n + 7) // 8, dtype=np.uint8)
+    np.bitwise_or.at(mask, j >> 3, (0x80 >> (j & 7)).astype(np.uint8))
+    return mask
+
+
+def packed_bits(packed: np.ndarray, j: np.ndarray, keep=1) -> np.ndarray:
+    """Bits at the 0-based positions j of a packed bit array, zeroed
+    where the 0/1 array `keep` (broadcast against j) is 0."""
+    return (packed[j >> 3] >> (7 - (j & 7))) & keep
 
 
 def corrupt(codeword: Codeword, pattern: CorruptionPattern) -> BitString:
@@ -108,11 +161,7 @@ def corrupt(codeword: Codeword, pattern: CorruptionPattern) -> BitString:
 
     Applying the same pattern twice returns the original bits.
     """
-    if not pattern.fits(codeword.n):
-        raise ParameterError("flip position beyond codeword length")
-    word = np.frombuffer(codeword.bits._data, dtype=np.uint8).copy()
-    j = np.fromiter(pattern.flips, dtype=np.int64, count=pattern.weight) - 1
-    np.bitwise_xor.at(word, j >> 3, (0x80 >> (j & 7)).astype(np.uint8))
+    word = np.frombuffer(codeword.bits._data, dtype=np.uint8) ^ flip_mask(pattern, codeword.n)
     return BitString(codeword.n, word.tobytes())
 
 
@@ -229,12 +278,19 @@ class Scheme:
     def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[int]]:
         """Per query, how many coins decode wrongly under `pattern`, or None
         where that means enumerating more than `limit` coins.  A scheme
-        that counts without enumerating overrides this."""
-        counts = [self.coin_count(query) for query in queries]
-        return [
-            None if count > limit else int(exact_error(self, query, pattern, limit) * count)
-            for query, count in zip(queries, counts)
-        ]
+        that counts without enumerating overrides this; exact_error and
+        estimate_error then use it past their enumeration limit."""
+        out: List[Optional[int]] = []
+        word = None
+        for query in queries:
+            count = self.coin_count(query)
+            if count > limit:
+                out.append(None)
+                continue
+            if word is None:
+                word = corrupt(self.codeword, pattern)
+            out.append(count_wrong(self, query, coin_chunks(self.coin_radices(query), count), word))
+        return out
 
     def queries(self):
         """Every query this scheme answers, in a fixed order."""
@@ -257,6 +313,12 @@ class Scheme:
 
     def params(self) -> Dict[str, object]:
         return {}
+
+    @cached_property
+    def frozen_params(self) -> Mapping[str, object]:
+        """params(), computed once and shared read-only: a built scheme
+        does not change, so every report on it can hold the same view."""
+        return MappingProxyType(self.params())
 
     def header(self) -> Dict[str, object]:
         if self.kind is None:
@@ -322,9 +384,7 @@ def read_plan(scheme: Scheme, query, coins: np.ndarray, word: BitString):
         raise ProbeBudgetError("plan reads %d positions, budget %d" % (width, budget))
     if ((positions < 0) | (positions > word.n)).any():
         raise ParameterError("probe position outside [1, %d]" % word.n)
-    j = positions - 1
-    packed = np.frombuffer(word._data, dtype=np.uint8)
-    bits = (packed[j >> 3] >> (7 - (j & 7))) & (positions > 0)
+    bits = packed_bits(np.frombuffer(word._data, dtype=np.uint8), positions - 1, positions > 0)
     return positions, combine(bits)
 
 
@@ -369,8 +429,14 @@ def exact_error(
     pattern: CorruptionPattern,
     limit: int = EXACT_STATE_LIMIT,
 ) -> Fraction:
-    """Exact decoding error probability under `pattern`, over all coins."""
+    """Exact decoding error probability under `pattern`, over all coins:
+    by enumerating them up to `limit`, past it from the scheme's
+    wrong_counts, and EnumerationLimitError where that declines."""
     count = scheme.coin_count(query)
+    if count > limit:
+        (wrong,) = scheme.wrong_counts([query], pattern, limit)
+        if wrong is not None:
+            return Fraction(wrong, count)
     _check_enumerable(count, limit)
     chunks = coin_chunks(scheme.coin_radices(query), count)
     return Fraction(count_wrong(scheme, query, chunks, corrupt(scheme.codeword, pattern)), count)

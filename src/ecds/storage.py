@@ -95,7 +95,7 @@ def load_pattern(path: str) -> Tuple[CorruptionPattern, int]:
         return CorruptionPattern(head["positions"]), head["n"]
     except KeyError as exc:
         raise ParameterError("malformed file %s: no header field %s" % (path, exc)) from None
-    except TypeError as exc:
+    except ParameterError as exc:
         raise ParameterError("malformed file %s: %s" % (path, exc)) from None
 
 

@@ -424,7 +424,7 @@ def test_criterion_10_structural(desk_composed, one_probe_64):
     # byte-identical reports under identical seeds
     def mc_report():
         return estimate_error(
-            HadamardIp(BitString.from01("10110")),
+            PolySharedIp(BitString.from01("1011"), 1, 3),
             strategy=AdversaryStrategy(kind="random_flips", budget=2, seed=4),
             trials=5_000,
             seed=12,

@@ -20,6 +20,7 @@ from ecds.errors import ParameterError
 from ecds.harness import (
     AdversaryStrategy,
     ExperimentReport,
+    _sampled_wrong,
     attack,
     clopper_pearson,
     estimate_error,
@@ -28,7 +29,8 @@ from ecds.harness import (
 from ecds.hadamard import EqualityScheme, HadamardIp, MajorityAmplified, pairwise_error_counts
 from ecds.inner_product import SubstringHadamard
 from ecds.membership import BlockCodedMembership, OneProbeMembership
-from ecds.oracle import CorruptionPattern, exact_error
+from ecds.oracle import CorruptionPattern, coin_chunks, corrupt, count_wrong, exact_error
+from ecds.seeding import stream
 
 
 def test_harness_imports_no_scheme_module():
@@ -256,9 +258,10 @@ def test_estimate_error_exact_under_attack():
 
 
 def test_estimate_error_mc_mode():
-    sch = HadamardIp(BitString.from01("10110"))
+    # equality does not count without enumerating: past exact_limit it samples
+    sch = EqualityScheme(BitString.from01("10110"))
     strat = AdversaryStrategy(kind="random_flips", budget=3, seed=7)
-    queries = [BitString.from01("10000"), BitString.from01("01100")]
+    queries = [BitString.from01("10110"), BitString.from01("01100")]
     rep = estimate_error(
         sch, queries=queries, strategy=strat, trials=3000, seed=11, exact_limit=1
     )
@@ -361,18 +364,38 @@ def _frozen_case(name):
 def test_monte_carlo_streams_are_frozen(name, wrong):
     """Monte Carlo wrong counts pinned across versions of the package,
     not only across runs of one process: a change to how coins are
-    drawn or read shows up here."""
+    drawn or read shows up here.  The pair-read decoders are exact past
+    exact_limit, so their streams are sampled directly, with the blocks
+    estimate_error would draw."""
     scheme, queries, budget = _frozen_case(name)
+    strategy = AdversaryStrategy(kind="random_flips", budget=budget, seed=1)
+    pattern = attack(strategy, scheme)
+    sampled = [
+        _sampled_wrong(
+            scheme, q, pattern, 5000, lambda block, q=q: stream("mc", 7, scheme.query_label(q), block)
+        )
+        for q in queries
+    ]
+    assert sampled == wrong
     rep = estimate_error(
         scheme,
         queries=queries,
-        strategy=AdversaryStrategy(kind="random_flips", budget=budget, seed=1),
+        strategy=strategy,
         trials=5000,
         seed=7,
         exact_limit=1,
     )
-    assert [r.mode for r in rep.results] == ["mc"] * len(queries)
-    assert [r.wrong for r in rep.results] == wrong
+    if name == "equality-balanced":
+        assert [r.mode for r in rep.results] == ["mc"] * len(queries)
+        assert [r.wrong for r in rep.results] == wrong
+    else:
+        word = corrupt(scheme.codeword, pattern)
+        tally = [
+            count_wrong(scheme, q, coin_chunks(scheme.coin_radices(q), scheme.coin_count(q)), word)
+            for q in queries
+        ]
+        assert [r.mode for r in rep.results] == ["exact"] * len(queries)
+        assert [r.wrong for r in rep.results] == tally
 
 
 def test_readme_library_example(capsys):

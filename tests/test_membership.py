@@ -506,7 +506,7 @@ def test_block_killer_matches_parity_loop(make, shared_blocks):
     for target in (None, *range(1, st.public_n + 1)):
         held = np.count_nonzero(st.block_counts(target or st.good_indices[0]))
         for budget in budgets:
-            got = inst.block_killer(budget, target)
+            got = inst.block_killer(budget, target).tolist()
             assert got == parity_loop_block_killer(inst, budget, target)
             assert len(got) == min(budget, half * held)
     with pytest.raises(ParameterError):

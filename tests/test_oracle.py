@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +48,69 @@ def test_pattern_validation_and_budget():
     assert CorruptionPattern.budget(0.0, 1000) == 0
     # floor, never round
     assert CorruptionPattern.budget(0.05, 59) == 2
+
+
+@pytest.mark.parametrize(
+    "flips, positions",
+    [
+        ([3, 1, 2], (1, 2, 3)),
+        ((2, 2, 1), (1, 2)),
+        ({5, 4}, (4, 5)),
+        (frozenset({7}), (7,)),
+        ((j for j in (9, 8)), (8, 9)),
+        (range(1, 4), (1, 2, 3)),
+        ([], ()),
+        (np.array([4, 2], dtype=np.int64), (2, 4)),
+        (np.array([4, 2], dtype=np.uint8), (2, 4)),
+        ([np.int64(3), 5], (3, 5)),  # numpy integers, as numpy arrays
+        ([True, 2], (1, 2)),  # bools are ints in Python: True is position 1
+        ([2**62], (2**62,)),
+    ],
+    ids=[
+        "list", "tuple-duplicates", "set", "frozenset", "generator", "range", "empty",
+        "int64-array", "uint8-array", "numpy-int-scalars", "bool", "large-int",
+    ],
+)
+def test_pattern_accepts_integer_positions(flips, positions):
+    p = CorruptionPattern(flips)
+    assert p.positions == positions
+    assert p.flips == frozenset(positions)
+    assert p.array.dtype == np.int64 and not p.array.flags.writeable
+    assert p == CorruptionPattern(list(positions))
+    assert hash(p) == hash(CorruptionPattern(list(positions)))
+
+
+@pytest.mark.parametrize(
+    "flips",
+    [
+        [1.0],
+        [2, 1.5],
+        ["1"],
+        "12",
+        [0],
+        [-3],
+        [1, None],
+        [[1, 2]],
+        [[1], [2, 3]],
+        [2**70],
+        [2**63],
+        5,
+        None,
+        np.array([1.0]),
+        np.array([0, 1]),
+        np.array([[1, 2]]),
+        np.array([2**63], dtype=np.uint64),
+        np.array(["1"]),
+    ],
+    ids=[
+        "float", "mixed-float", "string", "text", "zero", "negative", "none-inside",
+        "nested", "ragged", "beyond-int64", "int64-overflow", "not-iterable", "none",
+        "float-array", "zero-array", "2d-array", "uint64-overflow", "string-array",
+    ],
+)
+def test_pattern_refuses_non_positions(flips):
+    with pytest.raises(ParameterError):
+        CorruptionPattern(flips)
 
 
 def test_pattern_fits():
