@@ -39,7 +39,6 @@ from .hadamard import (
     MajorityAmplified,
     RandomLinearCode,
     majority_error,
-    pairwise_error_counts,
 )
 from .harness import (
     AdversaryStrategy,

@@ -18,13 +18,19 @@ import numpy as np
 
 from .bits import BitString, dot_mod2
 from .errors import InfeasibleSizeError, ParameterError
-from .oracle import Codeword, CorruptionPattern, Scheme, flip_mask, packed_bits
+from .oracle import MC_BLOCK, Codeword, CorruptionPattern, Scheme, flip_mask, packed_bits
 
 MAX_EXPONENT = 26  # 2^26 bits = 8 MiB packed; beyond that, refuse
 
 
 class HadamardCode:
-    """The [2^s, s] Hadamard code with 1-based positions."""
+    """The [2^s, s] Hadamard code with 1-based positions.
+
+    Every nonzero codeword has weight exactly half the length, so as an
+    equality code its balance defect gamma is zero.
+    """
+
+    gamma = Fraction(0)
 
     def __init__(self, s: int):
         if s < 1:
@@ -60,6 +66,13 @@ class HadamardCode:
     def min_distance(self) -> int:
         # every nonzero message hits exactly half the positions
         return self.length // 2
+
+    def bit_of(self, x: BitString, j):
+        """Bit j of x's codeword; j may be an array of positions."""
+        return np.bitwise_count(np.asarray(j - 1, dtype=np.uint64) & np.uint64(x.value)) & 1
+
+    def describe(self) -> Dict[str, object]:
+        return {"kind": "hadamard", "s": self.s, "length": self.length}
 
 
 def pair_reads(base, z, y) -> np.ndarray:
@@ -140,11 +153,18 @@ class HadamardIp(Scheme):
         return (BitString.from_int(self.x.n, v) for v in range(self.code.length))
 
     def wrong_counts(self, queries, pattern: CorruptionPattern, limit: int) -> List[int]:
-        """Exact at every query from one pair-read count each (the whole
-        code is one piece, the unit is y), so `limit` never applies;
-        O(|F|) time and memory per query."""
+        """Exact at every query from the pair-read count (the whole code is
+        one piece, the unit is y), so `limit` never applies.  Queries are
+        counted together, up to about MC_BLOCK gathered flips per call:
+        O(|F|) time per query, memory linear in |F|."""
         count = pair_read_counter(self.codeword, pattern, self.code.length)
-        return [int(count(0, query.value, self.truth(query))[0]) for query in queries]
+        reads = [(query.value, self.truth(query)) for query in queries]
+        step = max(1, MC_BLOCK // max(1, pattern.weight))
+        out: List[int] = []
+        for start in range(0, len(reads), step):
+            units, truths = zip(*reads[start : start + step])
+            out += count(0, units, truths).tolist()
+        return out
 
     def random_query(self, rng) -> BitString:
         return BitString.random(self.x.n, rng)
@@ -153,53 +173,11 @@ class HadamardIp(Scheme):
         return {"s": self.x.n, "x": self.x.to01()}
 
 
-PAIRWISE_MAX_EXPONENT = 20  # 2^(3s) bounds the transform's entries; int64 holds it through s = 20
-
-
-def pairwise_error_counts(s: int, pattern: CorruptionPattern) -> np.ndarray:
-    """For each query value y: how many offsets z decode x.y wrongly.
-
-    A coin z fails exactly when one of the positions z+1, (z^y)+1 is
-    flipped and the other is not, independent of x.  Entry y of the
-    returned int64 array counts failing coins; dividing by 2^s gives the
-    exact error probability of the 2-probe decoder at query y.
-
-    With F the flipped offsets, count[y] = 2(|F| - C(y)), where
-    C(y) = sum_z 1_F(z) 1_F(z^y) is the XOR autocorrelation of F and
-    2^s C = H (H 1_F)^2 for the unnormalized Walsh-Hadamard transform H.
-    Two exact integer transforms cost O(s 2^s) time and 2^s int64 words.
-    """
-    if s > PAIRWISE_MAX_EXPONENT:
-        raise InfeasibleSizeError(
-            "exact pair counts stop at s = %d, got s = %d" % (PAIRWISE_MAX_EXPONENT, s)
-        )
-    n = 1 << s
-    if not pattern.fits(n):
-        raise ParameterError("flip position beyond codeword length")
-    spectrum = np.zeros(n, dtype=np.int64)
-    spectrum[pattern.array - 1] = 1
-    _walsh_hadamard(spectrum)
-    spectrum *= spectrum
-    _walsh_hadamard(spectrum)
-    return 2 * (pattern.weight - (spectrum >> s))
-
-
-def _walsh_hadamard(a: np.ndarray) -> None:
-    """In place: a <- H a, the unnormalized transform of a length-2^s array."""
-    half = 1
-    while half < len(a):
-        pairs = a.reshape(-1, 2, half)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        lo += hi  # a + b
-        hi *= -2
-        hi += lo  # (a + b) - 2b = a - b
-        half *= 2
-
-
 class MajorityAmplified(Scheme):
     """Runs an inner bit-valued scheme t times and takes the majority.
 
     Coins are t inner coin tuples laid end to end; the budget scales by t.
+    Only queries with answers of at most one bit are put to a vote.
     """
 
     def __init__(self, inner: Scheme, t: int):
@@ -219,7 +197,15 @@ class MajorityAmplified(Scheme):
     def coin_radices(self, query) -> Tuple[int, ...]:
         return self.inner.coin_radices(query) * self.t
 
+    def check_query(self, query) -> None:
+        """The inner scheme's check, and a vote needs a one-bit answer."""
+        self.inner.check_query(query)
+        truth = self.inner.truth(query)
+        if isinstance(truth, BitString) and truth.n > 1:
+            raise ParameterError("majority votes on one-bit answers, not %d bits" % truth.n)
+
     def plan(self, query, coins: np.ndarray):
+        self.check_query(query)
         runs = [self.inner.plan(query, part) for part in np.split(coins, self.t, axis=1)]
 
         def combine(bits: np.ndarray) -> np.ndarray:
@@ -229,23 +215,21 @@ class MajorityAmplified(Scheme):
 
         return np.hstack([positions for positions, _ in runs]), combine
 
+    def answer(self, query, value):
+        return self.inner.answer(query, value)
+
     def truth(self, query):
         return self.inner.truth(query)
 
     def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[int]]:
-        """Exact wherever the inner scheme counts and answers one bit: the
-        t runs use independent coins, so the majority is wrong with
-        majority_error(inner error, t).  Queries with wider answers go to
-        the default in one call, which enumerates up to `limit`."""
-        wide = [isinstance(t, BitString) and t.n > 1 for t in map(self.truth, queries)]
-        narrow = [q for q, w in zip(queries, wide) if not w]
-        inner = iter(self.inner.wrong_counts(narrow, pattern, limit))
-        broad = [q for q, w in zip(queries, wide) if w]
-        enumerated = iter(super().wrong_counts(broad, pattern, limit))
+        """Exact wherever the inner scheme's wrong_counts is: the t runs
+        use independent coins, so the majority is wrong with
+        majority_error(inner error, t)."""
+        for query in queries:
+            self.check_query(query)
         out: List[Optional[int]] = []
-        for query, is_wide in zip(queries, wide):
-            wrong = next(enumerated if is_wide else inner)
-            if not is_wide and wrong is not None:
+        for query, wrong in zip(queries, self.inner.wrong_counts(queries, pattern, limit)):
+            if wrong is not None:
                 err = majority_error(Fraction(wrong, self.inner.coin_count(query)), self.t)
                 wrong = int(self.coin_count(query) * err)
             out.append(wrong)
@@ -343,30 +327,6 @@ class RandomLinearCode:
         return {"kind": "random-linear", "s": self.s, "length": self.length}
 
 
-class HadamardEqualityCode:
-    """Hadamard code viewed through the interface equality needs."""
-
-    def __init__(self, s: int):
-        self.inner = HadamardCode(s)
-        self.s = s
-        self.length = self.inner.length
-        self.dmin = self.inner.min_distance()
-
-    @property
-    def gamma(self) -> Fraction:
-        return Fraction(0)
-
-    def encode(self, x: BitString) -> BitString:
-        return self.inner.encode(x)
-
-    def bit_of(self, x: BitString, j):
-        """Bit j of x's codeword; j may be an array of positions."""
-        return np.bitwise_count(np.asarray(j - 1, dtype=np.uint64) & np.uint64(x.value)) & 1
-
-    def describe(self) -> Dict[str, object]:
-        return {"kind": "hadamard", "s": self.s, "length": self.length}
-
-
 class EqualityScheme(Scheme):
     """One-probe equality test: store a codeword of x, compare one position.
 
@@ -381,7 +341,7 @@ class EqualityScheme(Scheme):
 
     def __init__(self, x: BitString, code=None, balanced: bool = True):
         self.x = x
-        self.code = code if code is not None else HadamardEqualityCode(x.n)
+        self.code = code if code is not None else HadamardCode(x.n)
         if getattr(self.code, "s", x.n) != x.n:
             raise ParameterError("code message length does not match x")
         self.balanced = balanced
@@ -398,7 +358,7 @@ class EqualityScheme(Scheme):
     def from_header(cls, head: Dict) -> "EqualityScheme":
         desc = head["code"]
         if desc["kind"] == "hadamard":
-            code = HadamardEqualityCode(desc["s"])
+            code = HadamardCode(desc["s"])
         else:
             rows = [BitString.from01(r) for r in head["rows"]]
             code = RandomLinearCode(desc["s"], desc["length"], rows=rows)

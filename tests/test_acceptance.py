@@ -27,7 +27,6 @@ from ecds.hadamard import (
     EqualityScheme,
     HadamardIp,
     majority_error,
-    pairwise_error_counts,
 )
 from ecds.harness import AdversaryStrategy, attack, estimate_error
 from ecds.inner_product import PolySharedIp, SubstringHadamard, TableIp, table_ip_length
@@ -58,9 +57,10 @@ def one_probe_64():
 def test_criterion_01_two_probe_error_bound():
     """200 adversarial patterns per noise rate never push any query's
     exact 2-probe error above twice the flip fraction."""
-    s, n = 8, 256
+    n = 256
     failures = []
     scheme = HadamardIp(BitString.from_int(8, 0b10110100))
+    queries = list(scheme.queries())
     for delta in (0.01, 0.05, 0.1):
         weight = math.floor(delta * n)
         rng = stream("acc1", delta)
@@ -74,7 +74,7 @@ def test_criterion_01_two_probe_error_bound():
             if pattern.weight > weight:
                 failures.append("pattern overweight at delta %s" % delta)
                 continue
-            worst = int(pairwise_error_counts(s, pattern).max())
+            worst = max(scheme.wrong_counts(queries, pattern, 0))
             if worst > 2 * weight or worst / n > 2 * delta:
                 failures.append(
                     "delta %s weight %d worst count %d" % (delta, weight, worst)

@@ -26,7 +26,7 @@ from ecds.harness import (
     estimate_error,
     sweep,
 )
-from ecds.hadamard import EqualityScheme, HadamardIp, MajorityAmplified, pairwise_error_counts
+from ecds.hadamard import EqualityScheme, HadamardIp, MajorityAmplified
 from ecds.inner_product import SubstringHadamard
 from ecds.membership import BlockCodedMembership, OneProbeMembership
 from ecds.oracle import CorruptionPattern, coin_chunks, corrupt, count_wrong, exact_error
@@ -158,7 +158,7 @@ def test_greedy_local_finds_worst_pair():
     pattern = attack(strat, sch)
     assert pattern.weight == 2
     # any two distinct flips already force worst-query error 1/2
-    assert int(pairwise_error_counts(3, pattern).max()) == 4
+    assert max(sch.wrong_counts(list(sch.queries()), pattern, 0)) == 4
 
 
 def test_greedy_local_generic_paths():
@@ -250,8 +250,8 @@ def test_estimate_error_exact_under_attack():
     strat = AdversaryStrategy(kind="random_flips", budget=2, seed=3)
     rep = estimate_error(sch, strategy=strat, trials=10, seed=0)
     pattern = attack(strat, sch)
-    counts = pairwise_error_counts(4, pattern)
-    assert rep.worst_error == int(counts.max()) / 16
+    counts = sch.wrong_counts(list(sch.queries()), pattern, 0)
+    assert rep.worst_error == max(counts) / 16
     assert rep.budget == 2 and rep.delta == 2 / 16
     for r in rep.results:
         assert r.pattern_weight == 2

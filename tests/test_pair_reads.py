@@ -21,13 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecds.bits import BitString, dot_mod2
-from ecds.hadamard import (
-    HadamardIp,
-    MajorityAmplified,
-    pair_read_counter,
-    pairwise_error_counts,
-)
+from ecds import hadamard
+from ecds.bits import BitString
+from ecds.errors import ParameterError
+from ecds.hadamard import HadamardIp, MajorityAmplified, pair_read_counter
 from ecds.harness import AdversaryStrategy, attack, estimate_error
 from ecds.inner_product import SubstringHadamard
 from ecds.membership import BlockCodedMembership, OneProbeMembership
@@ -152,39 +149,51 @@ def test_composed_non_members_read_colliding_bits():
         assert inst.wrong_counts([1], empty, 0) == coin_tally(inst, [1], empty) != [0]
 
 
-def test_majority_over_wide_answers_falls_back_to_enumeration():
-    # a two-bit substring answer is not a vote: no closed form applies
+def test_majority_refuses_wide_answers():
+    """A two-bit substring answer is not a vote: decode, exact_error (by
+    enumeration and by counting) and wrong_counts refuse it, while zero-
+    and one-bit answers pass and decode to the inner scheme's answer type."""
     sch = MajorityAmplified(SubstringHadamard(SUB_X, 3), 3)
     query = _bits("110000")
     pattern = CorruptionPattern([1, 6])
-    assert sch.wrong_counts([query], pattern, 0) == [None]
-    count = sch.coin_count(query)
-    assert sch.wrong_counts([query], pattern, count) == coin_tally(sch, [query], pattern)
-    # mixed with one-bit queries, each keeps its place in the answer
-    mixed = [_bits("100000"), query, _bits("000001"), _bits("011000")]
-    tally = coin_tally(sch, mixed, pattern)
-    assert sch.wrong_counts(mixed, pattern, count) == tally
-    assert sch.wrong_counts(mixed, pattern, 0) == [tally[0], None, tally[2], None]
+    with pytest.raises(ParameterError):
+        sch.decode(sch.oracle(query=query), query, random.Random(0))
+    for limit in (sch.coin_count(query), 0):
+        with pytest.raises(ParameterError):
+            exact_error(sch, query, CorruptionPattern.empty(), limit=limit)
+    with pytest.raises(ParameterError):
+        sch.wrong_counts([_bits("100000"), query], pattern, 0)
+    one, zero = _bits("010000"), _bits("000000")
+    assert sch.decode(sch.oracle(query=one), one, random.Random(0)) == sch.truth(one)
+    assert sch.wrong_counts([zero, one], pattern, 0) == coin_tally(sch, [zero, one], pattern)
 
 
-@settings(max_examples=20, deadline=None)
-@given(s=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), fraction=st.floats(0.0, 1.0))
-def test_pair_read_counter_matches_transform(s, seed, fraction):
-    """One piece, every unit: the pair-read count is the transform's."""
-    rng = random.Random(seed)
-    sch = HadamardIp(BitString.random(s, rng))
-    n = 1 << s
-    pattern = CorruptionPattern.random(n, int(fraction * n), rng)
-    truths = [dot_mod2(sch.x, BitString.from_int(s, y)) for y in range(n)]
-    count = pair_read_counter(sch.codeword, pattern, n)
-    assert count(0, np.arange(n), truths).tolist() == pairwise_error_counts(s, pattern).tolist()
+def test_hadamard_ip_counts_all_queries_in_one_call(monkeypatch):
+    """A small pattern's queries share one pair-read count call."""
+    calls = []
+
+    def counter(*args):
+        count = pair_read_counter(*args)
+
+        def counted(*reads):
+            calls.append(reads)
+            return count(*reads)
+
+        return counted
+
+    monkeypatch.setattr(hadamard, "pair_read_counter", counter)
+    sch = HadamardIp(BitString.random(8, random.Random(8)))
+    pattern = CorruptionPattern.random(sch.codeword.n, 12, random.Random(12))
+    queries = list(sch.queries())
+    assert sch.wrong_counts(queries, pattern, 0) == coin_tally(sch, queries, pattern)
+    assert len(calls) == 1
 
 
 def test_hadamard_ip_counts_past_the_transform_limit():
-    """s = 21 is past pairwise_error_counts: greedy_local climbs on the
-    per-query pair-read count, and estimate_error is exact past the
-    enumeration limit, equal to the coin tally, at the budget of
-    delta = 0.05 and as many queries as the CLI samples by default."""
+    """s = 21 puts each query's 2^21 coins past the enumeration limit:
+    greedy_local climbs on the pair-read count, and estimate_error is
+    exact there, equal to the coin tally, at the budget of delta = 0.05
+    and as many queries as the CLI samples by default."""
     rng = random.Random(21)
     s = 21
     sch = HadamardIp(BitString.random(s, rng))
@@ -208,8 +217,9 @@ def test_hadamard_ip_counts_past_the_transform_limit():
 
 
 def test_hadamard_ip_counts_in_memory_linear_in_the_flips():
-    """Counting many queries holds one query's reads at a time: peak
-    memory stays a few times |F| int64 words, not |queries| times that."""
+    """Counting many queries under many flips holds about one query's
+    reads at a time: peak memory stays a few times |F| int64 words, not
+    |queries| times that."""
     s = 21
     sch = HadamardIp(BitString.random(s, random.Random(5)))
     pattern = CorruptionPattern.random(sch.codeword.n, sch.codeword.n // 20, random.Random(6))
