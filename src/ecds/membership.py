@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +38,10 @@ from .errors import (
 from .hadamard import MAX_EXPONENT, HadamardCode, pair_read_counter, pair_reads, xor_all
 from .oracle import Codeword, Scheme
 from .seeding import derive_seed
+
+# bytes that one chunk of supports in `OneProbeMembership.verify` may take
+# in `_agreement` (`_support_bytes` per support)
+_CHUNK_BYTES = 1 << 20
 
 
 def default_probe_params(n: int, s: int, eps: float) -> Tuple[int, int]:
@@ -122,9 +126,14 @@ class OneProbeMembership:
         self.n_prime = n_prime
         self.d = len(probe_sets[0]) if len(probe_sets) else 0
         try:
-            arr = np.sort(np.asarray(probe_sets, dtype=np.int64).reshape(n, self.d), axis=1)
+            arr = np.asarray(probe_sets).reshape(n, self.d)
+            if arr.size and arr.dtype.kind not in "biu":  # floats, strings, objects
+                raise TypeError
+            arr = np.sort(arr.astype(np.int64), axis=1)
             if (np.diff(arr, axis=1) == 0).any():
                 raise ValueError
+        except TypeError:
+            raise ParameterError("probe-set positions must be integers") from None
         except ValueError:  # ragged rows, or a position repeated within a row
             raise ParameterError("probe sets must be equal-size and duplicate-free") from None
         if arr.size and (arr.min() < 1 or arr.max() > n_prime):
@@ -173,13 +182,7 @@ class OneProbeMembership:
             sets0 = np.empty((n, d), dtype=np.int64)
             for i in range(n):
                 sets0[i] = rng.choice(n_prime, size=d, replace=False)
-            st = cls(
-                n,
-                s,
-                eps,
-                np.sort(sets0, axis=1) + 1,
-                n_prime,
-            )
+            st = cls(n, s, eps, sets0 + 1, n_prime)
             ver = st.verify(
                 domain=dom,
                 limit=verify_limit,
@@ -207,23 +210,28 @@ class OneProbeMembership:
     # -- verification and encoding -------------------------------------
 
     def _agreement(
-        self, support: Sequence[int], dom_idx: np.ndarray, rows: np.ndarray
+        self, supports: np.ndarray, dom_idx: np.ndarray, rows: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode the data set `support` and check it on the domain:
-        dom_idx holds its 0-based indices, rows their probe sets.
+        """Encode a batch of data sets, int64[B, s] as `_padded` writes
+        them, and check each on the domain: dom_idx holds its 0-based
+        indices, rows their probe sets.
 
-        Returns the union mask over the n' positions and, per domain
+        Returns the union masks uint8[B, n'] and, per data set and domain
         index, its agreement (the fraction of its probe set inside the
         union for a member, always 1, and outside it for a non-member) and
-        whether a non-member collides beyond the eps threshold."""
-        sup_idx = np.asarray(support, dtype=np.int64) - 1
-        mask = np.zeros(self.n_prime, dtype=np.uint8)
-        mask[self._sets0[sup_idx]] = 1
-        hits = mask[rows].sum(axis=1)
-        member = (dom_idx[:, None] == sup_idx).any(axis=1)
+        whether a non-member collides beyond the eps threshold.  The hit
+        counts gather each mask at the domain's rows, as one call per
+        batch: the work per data set is n' + |domain|·d, as it is for one."""
+        held = supports >= 0
+        masks = np.zeros((len(supports), self.n_prime), dtype=np.uint8)
+        masks[np.nonzero(held)[0][:, None], self._sets0[supports[held]]] = 1
+        # a count is at most d <= n', and every mask holds n' bytes, so an
+        # int32 count could overflow only past masks of 2 GiB
+        hits = np.take(masks, rows, axis=1).sum(axis=2, dtype=np.int32)
+        member = (supports[:, :, None] == dom_idx).any(axis=1)
         agreements = np.where(member, hits / self.d, 1 - hits / self.d)
         bad = ~member & (hits > self._nonmember_max)
-        return mask, agreements, bad
+        return masks, agreements, bad
 
     def _domain(self, domain: Optional[Sequence[int]]):
         """The domain (default: the universe), its 0-based indices and
@@ -231,6 +239,12 @@ class OneProbeMembership:
         dom = tuple(domain) if domain is not None else tuple(range(1, self.n + 1))
         dom_idx = np.asarray(dom, dtype=np.int64) - 1
         return dom, dom_idx, self._sets0[dom_idx]
+
+    def _support_bytes(self, dom_size: int) -> int:
+        """About the bytes one data set takes in `_agreement`: its union
+        mask, its gathered domain rows, its member positions (int64) and,
+        per domain index, its count, agreement and flags."""
+        return self.n_prime + dom_size * (self.d + 32) + 8 * self.s * self.d
 
     def verify(
         self,
@@ -240,18 +254,22 @@ class OneProbeMembership:
     ) -> VerificationReport:
         """Check the agreement guarantee for every weight <= s data set
         over `domain` (default: the whole universe), exhaustively when
-        there are at most `limit` supports, else on a uniform sample."""
+        there are at most `limit` supports, else on a uniform sample.
+        Supports go through `_agreement` in chunks of about
+        `_CHUNK_BYTES` bytes."""
         dom, dom_idx, rows = self._domain(domain)
+        chunk = max(1, _CHUNK_BYTES // self._support_bytes(len(dom)))
         total = ball_size(len(dom), self.s)
         exhaustive = total <= limit
         min_agree = 1.0
         violations = 0
         checked = 0
-        for support in self._supports(dom, total, exhaustive, limit, rng):
-            _, agreements, bad = self._agreement(support, dom_idx, rows)
+        supports = self._supports(dom, total, exhaustive, limit, rng)
+        while batch := list(islice(supports, chunk)):
+            _, agreements, bad = self._agreement(self._padded(batch), dom_idx, rows)
             min_agree = min(min_agree, agreements.min(initial=1.0))
             violations += int(bad.sum())
-            checked += 1
+            checked += len(batch)
         return VerificationReport(
             exhaustive=exhaustive,
             checked_supports=checked,
@@ -259,6 +277,12 @@ class OneProbeMembership:
             min_agreement=min_agree,
             violations=violations,
         )
+
+    def _padded(self, supports: Sequence[Tuple[int, ...]]) -> np.ndarray:
+        """1-based supports of weight <= s as int64[B, s] rows of 0-based
+        universe indices, a support shorter than s padded with -1."""
+        rows = [support + (0,) * (self.s - len(support)) for support in supports]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.s) - 1
 
     def _supports(self, dom, total, exhaustive, limit, rng):
         if exhaustive:
@@ -276,14 +300,15 @@ class OneProbeMembership:
         self, x: BitString, verify_domain: Optional[Sequence[int]] = None
     ) -> Tuple[BitString, np.ndarray]:
         """Union encoding of the set x, plus the per-index agreement
-        profile over the verification domain.  Raises VerificationError
-        for the first domain index that violates the agreement guarantee."""
+        profile over the verification domain (default: the universe),
+        from `_agreement` on a batch of one.  Raises VerificationError for
+        the first domain index that violates the agreement guarantee."""
         if x.n != self.n:
             raise ParameterError("data length does not match universe")
         if x.weight > self.s:
             raise ParameterError("data weight exceeds s")
         dom, dom_idx, rows = self._domain(verify_domain)
-        mask, agreements, bad = self._agreement(x.support(), dom_idx, rows)
+        (mask,), (agreements,), (bad,) = self._agreement(self._padded([x.support()]), dom_idx, rows)
         if bad.any():
             raise VerificationError("index %d collides beyond eps" % dom[int(bad.argmax())])
         return BitString.from_bit_array(mask), agreements
@@ -426,7 +451,8 @@ class BlockCodedMembership:
         n_prime = base.n_prime
         if n_prime % a:
             raise ParameterError("vector length must be a whole number of blocks")
-        if sorted(perm) != list(range(n_prime)):
+        perm = np.asarray(perm)
+        if perm.dtype.kind not in "biu" or not np.array_equal(np.sort(perm), np.arange(n_prime)):
             raise ParameterError("perm must be a permutation of 0..n_prime-1")
         if public_n > base.n:
             raise ParameterError("public domain exceeds the universe")
@@ -434,7 +460,7 @@ class BlockCodedMembership:
         self.base = base
         self.a = a
         self.b = n_prime // a
-        self.perm = np.asarray(perm, dtype=np.int64)
+        self.perm = perm.astype(np.int64)
         self.code = HadamardCode(a)
         self.length = self.b * self.code.length
         self.report = report

@@ -604,3 +604,28 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
             (tmp_path / "grid.json").write_text(json.dumps([cell]))
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "scheme, field, cast",
+    [
+        ("mem-1p", "probe_sets", float),
+        ("mem-1p", "probe_sets", str),
+        ("mem-composed", "probe_sets", float),
+        ("mem-composed", "probe_sets", str),
+        ("mem-composed", "perm", float),
+        ("mem-composed", "perm", str),
+    ],
+)
+def test_non_integer_membership_header_is_refused(tmp_path, capsys, scheme, field, cast):
+    """Positions written as 118.0 or "118" are refused, not cast to int."""
+    path = tmp_path / "m.ecds"
+    run_json(capsys, "build", "--scheme", scheme, *SCHEME_FLAGS[scheme], "--out-file", str(path))
+    line, payload = path.read_bytes().split(b"\n", 1)
+    head = json.loads(line)
+    values = head[field]
+    head[field] = [[cast(v) for v in row] for row in values] if field == "probe_sets" else [cast(v) for v in values]
+    path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+    code, out, err = run(capsys, "decode", "--structure", str(path), "--query", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"

@@ -9,12 +9,14 @@ single codeword bit is flipped.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from ecds import membership
 from ecds.bits import BitString, BoundedWeightSpace, ball_size
 from ecds.errors import ConstructionError, ParameterError, VerificationError
 from ecds.membership import (
@@ -82,13 +84,17 @@ def test_structure_validation():
         (np.array([(2, 7, 2), (1, 4, 5)]), "equal-size and duplicate-free"),
         ([(1, 2, 9), (4, 5, 6)], "out of range"),
         ([(0, 2, 3), (4, 5, 6)], "out of range"),
+        ([(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)], "integers"),
+        ([("1", "2", "3"), ("4", "5", "6")], "integers"),
+        ([(1, 2, 3), (4, 5, 6.5)], "integers"),
     ],
     ids=["ragged-short", "ragged-long", "dup-first", "dup-last", "dup-array",
-         "past-end", "zero"],
+         "past-end", "zero", "float", "string", "mixed"],
 )
 def test_probe_set_rows_are_checked(sets, message):
     """Rows are sorted once and checked by differences: a repeat anywhere
-    in a row, ragged rows and positions outside [1, n'] are refused."""
+    in a row, ragged rows, positions outside [1, n'] and positions that
+    are not integers (never cast) are refused."""
     with pytest.raises(ParameterError, match=message):
         OneProbeMembership(2, 1, 0.1, sets, 8)
     st = OneProbeMembership(2, 1, 0.1, [(5, 1, 3), (8, 2, 7)], 8)
@@ -238,18 +244,18 @@ def reference_verify(st, dom, limit, seed):
     return total <= limit, len(supports), total, min_agree, violations
 
 
-@pytest.mark.parametrize("name", ["colliding", "built"])
+@pytest.mark.parametrize("name", ["colliding", "built", "wide"])
 def test_members_agree_exactly_on_every_support(name):
     """A member's whole probe set lies in the union, so it agrees at
     exactly 1.0 and never breaks a threshold, collisions or not."""
     st = REFERENCE_STRUCTURES[name]()
     dom, dom_idx, rows = st._domain(None)
-    for w in range(1, st.s + 1):
-        for support in combinations(dom, w):
-            _, agreements, bad = st._agreement(support, dom_idx, rows)
-            members = np.asarray(support) - 1
-            assert agreements[members].tolist() == [1.0] * w
-            assert not bad[members].any()
+    supports = [c for w in range(1, st.s + 1) for c in combinations(dom, w)]
+    _, agreements, bad = st._agreement(st._padded(supports), dom_idx, rows)
+    for support, agree, flags in zip(supports, agreements, bad):
+        members = np.asarray(support) - 1
+        assert agree[members].tolist() == [1.0] * len(support)
+        assert not flags[members].any()
 
 
 def colliding_structure():
@@ -260,8 +266,17 @@ def colliding_structure():
     return OneProbeMembership(14, 2, 0.34, sets, 30)
 
 
+def wide_structure():
+    """Probe sets of 300 positions: member counts pass 255, past what one
+    byte holds."""
+    rng = np.random.default_rng(19)
+    sets = [tuple(rng.choice(3000, size=300, replace=False) + 1) for _ in range(12)]
+    return OneProbeMembership(12, 2, 0.5, sets, 3000)
+
+
 REFERENCE_STRUCTURES = {
     "colliding": colliding_structure,
+    "wide": wide_structure,
     "built": lambda: OneProbeMembership.build(14, 2, eps=0.35, seed=8, domain=range(2, 9)),
 }
 
@@ -284,8 +299,11 @@ def test_verify_matches_set_recount(name, dom, limit):
 @pytest.mark.parametrize("name", sorted(REFERENCE_STRUCTURES))
 @pytest.mark.parametrize("dom", [None, (2, 3, 5, 7, 8, 11)])
 def test_encode_matches_set_recount(name, dom):
+    """Against the set recount for every data set; with a domain, some
+    encoded sets hold positions that no domain row reads."""
     st = REFERENCE_STRUCTURES[name]()
     full = tuple(range(1, st.n + 1)) if dom is None else dom
+    held = set().union(*(st.probe_set(i) for i in full))
     outcomes = set()
     for w in range(st.s + 1):
         for support in combinations(range(1, st.n + 1), w):
@@ -302,8 +320,52 @@ def test_encode_matches_set_recount(name, dom):
             assert y.n == st.n_prime and set(y.support()) == union
             assert agreements.dtype == np.float64
             assert agreements.tolist() == [agree for agree, _, _ in rows]
-            outcomes.add("encoded")
-    assert outcomes == ({"raised", "encoded"} if name == "colliding" else {"encoded"})
+            outcomes.add("encoded" if union <= held else "encoded past the domain")
+    expected = {"encoded"} | ({"raised"} if name == "colliding" else set())
+    assert outcomes == expected | ({"encoded past the domain"} if dom else set())
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_STRUCTURES))
+@pytest.mark.parametrize("limit", [100_000, 47])
+def test_verify_chunks_match_set_recount(monkeypatch, name, limit):
+    """A byte budget for 9 supports a chunk: exhaustive and sampled passes
+    span several full chunks and a shorter last one, and still count as
+    the set recount does."""
+    st = REFERENCE_STRUCTURES[name]()
+    monkeypatch.setattr(membership, "_CHUNK_BYTES", 9 * st._support_bytes(st.n) + 1)
+    sizes = []
+    agreement = st._agreement
+
+    def spy(supports, dom_idx, rows):
+        sizes.append(len(supports))
+        return agreement(supports, dom_idx, rows)
+
+    monkeypatch.setattr(st, "_agreement", spy)
+    ver = st.verify(limit=limit, rng=np.random.default_rng(3))
+    dom = tuple(range(1, st.n + 1))
+    exhaustive, checked, total, min_agree, violations = reference_verify(st, dom, limit, 3)
+    assert len(sizes) > 2 and sizes[:-1] == [9] * (len(sizes) - 1) and 0 < sizes[-1] < 9
+    assert sum(sizes) == checked
+    assert ver.exhaustive == exhaustive == (limit == 100_000)
+    assert (ver.checked_supports, ver.total_supports) == (checked, total)
+    assert ver.min_agreement == min_agree
+    assert ver.violations == violations
+
+
+def test_composed_base_verify_memory():
+    """Verifying the composed base structure (1280 probe sets of 288 in
+    4032 positions, domain 1..64) allocates under 2 MiB at its peak."""
+    base = BlockCodedMembership.build(64, 2, a=14, b=288).base
+    assert (base.n, base.n_prime, base.d) == (1280, 4032, 288)
+    tracemalloc.start()
+    try:
+        ver = base.verify(domain=range(1, 65))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ver.checked_supports == ver.total_supports == 2081
+    assert ver.violations == 0
+    assert peak < 2 << 20
 
 
 # -- composed ---------------------------------------------------------
@@ -386,6 +448,9 @@ def test_composed_validation():
         BlockCodedMembership(2, base, list(range(8)), 3)
     with pytest.raises(ParameterError):
         BlockCodedMembership(5, base, list(range(8)), 2)
+    for perm in ([float(k) for k in range(8)], [str(k) for k in range(8)], [list(range(8))]):
+        with pytest.raises(ParameterError, match="permutation"):
+            BlockCodedMembership(2, base, perm, 2)
 
 
 def toy_built():
