@@ -300,6 +300,30 @@ class BoundedWeightSpace:
         assert k == 0
         return BitString.from_int(self.n, v)
 
+    def unrank_rows(self, ks) -> np.ndarray:
+        """`unrank` of a batch of ranks at once, as int64[len(ks), r]: row
+        m holds the positions of the ones of unrank(ks[m]), ascending,
+        then zeros up to width r.
+
+        The next one after the j-th sits at the first position i whose
+        count ball_size(n - i, r - j) is at most what is left of the rank,
+        so each weight level is one searchsorted over that (int64) table.
+        Refuses spaces of more than 2^63 strings, whose tables overflow."""
+        if self.size() > 1 << 63:
+            raise ValueError("space too large for int64 ranks")
+        ks = np.array(ks, dtype=np.int64).reshape(-1)
+        if ks.size and (ks.min() < 0 or ks.max() >= self.size()):
+            raise ValueError("rank out of range")
+        out = np.zeros((len(ks), self.r), dtype=np.int64)
+        for j in range(self.r):
+            # counts for positions n, n-1, ..., 1: ascending
+            counts = np.array([ball_size(m, self.r - j) for m in range(self.n)], dtype=np.int64)
+            m = np.searchsorted(counts, ks, side="right") - 1
+            left = ks > 0  # a rank of 0 left means no further ones
+            out[left, j] = self.n - m[left]
+            ks[left] -= counts[m[left]]
+        return out
+
     def __iter__(self) -> Iterator[BitString]:
         return (self.unrank(k) for k in range(self.size()))
 

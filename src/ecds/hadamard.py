@@ -47,6 +47,27 @@ class HadamardCode:
         vals = np.arange(self.length, dtype=np.uint64)
         return (np.bitwise_count(vals & np.uint64(xv)) & 1).astype(np.uint8)
 
+    def encode_blocks(self, values: np.ndarray) -> BitString:
+        """The codewords of a batch of message values, concatenated.
+
+        For s >= 3 they are built as packed bytes in one pass: position
+        8q + r of v's codeword is parity(r & v) ^ parity(q & (v >> 3)), so
+        byte q is byte 0 (the first eight bits), inverted when
+        q & (v >> 3) has odd weight, and each further bit of q doubles the
+        bytes filled so far.  Shorter codewords are packed bit by bit."""
+        values = np.asarray(values, dtype=np.int64).reshape(-1)
+        if values.size and (values.min() < 0 or values.max() >= self.length):
+            raise ParameterError("message value out of range")
+        head = (np.bitwise_count(values[:, None] & np.arange(min(self.length, 8))) & 1).astype(np.uint8)
+        if self.s < 3:
+            return BitString.from_bit_array(head.ravel())
+        out = np.empty((len(values), self.length // 8), dtype=np.uint8)
+        out[:, 0] = np.packbits(head, axis=1)[:, 0]
+        for k in range(self.s - 3):
+            invert = ((values >> (k + 3)) & 1).astype(np.uint8) * np.uint8(0xFF)
+            np.bitwise_xor(out[:, : 1 << k], invert[:, None], out=out[:, 1 << k : 2 << k])
+        return BitString(len(values) * self.length, out.tobytes())
+
     def encode(self, x: BitString) -> BitString:
         if x.n != self.s:
             raise ParameterError("message length does not match s")

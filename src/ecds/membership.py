@@ -10,6 +10,14 @@ least 1 - eps over the probe choice.  Members always agree exactly (the
 union contains their whole set); the verified direction is that
 non-members collide with at most an eps fraction of their set.
 
+Verification counts collisions without building any union: an overlap
+table holds, for every probe set P_c a data set can name and every
+domain index i, one bit per position of P_i, set when P_c holds it.  A
+data set's hits on i are the set bits of the OR of its members' words,
+so a position held by several members counts once, and a member hits
+its own d positions.  The table is built per block of domain rows, from
+one sorted index of which probe sets hold which position.
+
 The block-composed variant makes the vector error-tolerant: positions
 are shuffled by a random permutation, cut into b blocks of a bits, and
 each block is Hadamard-encoded.  A block is good for index i when it
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -209,42 +217,89 @@ class OneProbeMembership:
 
     # -- verification and encoding -------------------------------------
 
-    def _agreement(
-        self, supports: np.ndarray, dom_idx: np.ndarray, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode a batch of data sets, int64[B, s] as `_padded` writes
-        them, and check each on the domain: dom_idx holds its 0-based
-        indices, rows their probe sets.
+    def _block_rows(self, cols: int) -> int:
+        """Domain rows per block of an overlap table with `cols` columns,
+        so that the table and the pairs that fill it take about
+        `_CHUNK_BYTES`: a position of a domain row is held by about
+        1 + cols·d/n' of the columns' probe sets."""
+        words = -(-self.d // 64)
+        held = 1 + -(-cols * self.d // self.n_prime)
+        return max(1, _CHUNK_BYTES // (8 * (words * (cols + 1) + self.d * (3 + 5 * held))))
 
-        Returns the union masks uint8[B, n'] and, per data set and domain
-        index, its agreement (the fraction of its probe set inside the
-        union for a member, always 1, and outside it for a non-member) and
-        whether a non-member collides beyond the eps threshold.  The hit
-        counts gather each mask at the domain's rows, as one call per
-        batch: the work per data set is n' + |domain|·d, as it is for one."""
-        held = supports >= 0
-        masks = np.zeros((len(supports), self.n_prime), dtype=np.uint8)
-        masks[np.nonzero(held)[0][:, None], self._sets0[supports[held]]] = 1
-        # a count is at most d <= n', and every mask holds n' bytes, so an
-        # int32 count could overflow only past masks of 2 GiB
-        hits = np.take(masks, rows, axis=1).sum(axis=2, dtype=np.int32)
-        member = (supports[:, :, None] == dom_idx).any(axis=1)
+    def _overlaps(self, cols: np.ndarray, dom_idx: np.ndarray):
+        """The overlaps of the probe sets of `cols` with those of the
+        domain, both 0-based universe indices, per block of
+        `_block_rows` domain rows: yields the block's slice of dom_idx and
+        its table uint64[len(cols) + 1, ceil(d/64), block rows], where bit
+        t % 64 of [c, t // 64, i] is set when P_cols[c] holds the t-th
+        position of the block's i-th probe set.  The last row stays zero,
+        for the -1 that pads a data set shorter than s.
+
+        Every (column, position) pair comes from one sorted index of
+        position·(len(cols) + 1) + column keys, built once per call: each
+        position of a block's rows looks up the range of keys that hold
+        it."""
+        width = len(cols) + 1
+        keys = self._sets0[cols]
+        keys *= width
+        keys += np.arange(len(cols))[:, None]
+        keys = keys.ravel()
+        keys.sort()
+        words = -(-self.d // 64)
+        rows = self._block_rows(len(cols))
+        for lo in range(0, len(dom_idx), rows):
+            block = slice(lo, lo + rows)
+            size = len(dom_idx[block])
+            at = self._sets0[dom_idx[block]].ravel() * width
+            first = np.searchsorted(keys, at)
+            at += width
+            counts = np.searchsorted(keys, at) - first
+            # per pair: its key and its cell, i·d + t, of the block's rows
+            key = keys[np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)]
+            i, t = np.divmod(np.repeat(np.arange(len(counts)), counts), self.d)
+            table = np.zeros(width * size * words, dtype=np.uint64)
+            np.bitwise_or.at(
+                table,
+                ((key % width) * words + (t >> 6)) * size + i,
+                np.left_shift(np.uint64(1), (t & 63).astype(np.uint64)),
+            )
+            yield block, table.reshape(width, words, size)
+
+    def _agreement(
+        self, supports: np.ndarray, cols: np.ndarray, dom_idx: np.ndarray, table: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Check a batch of data sets on the domain indices dom_idx
+        (0-based), whose overlaps with `cols` `table` holds: each set is a
+        row of int64[B, w] slots into cols, a set shorter than w padded
+        with -1.
+
+        Returns, per data set and domain index, its agreement (the
+        fraction of its probe set inside the union for a member, always 1,
+        and outside it for a non-member) and whether a non-member collides
+        beyond the eps threshold.  A set's hits on an index are the bits
+        of the OR of its members' table words: each position counts once,
+        however many members hold it."""
+        words = np.zeros((len(supports), *table.shape[1:]), dtype=np.uint64)
+        member = np.zeros((len(supports), len(dom_idx)), dtype=bool)
+        for slot, index in zip(supports.T, np.append(cols, -1)[supports].T):
+            words |= table[slot]
+            member |= index[:, None] == dom_idx
+        hits = np.bitwise_count(words).sum(axis=1, dtype=np.int32)
         agreements = np.where(member, hits / self.d, 1 - hits / self.d)
         bad = ~member & (hits > self._nonmember_max)
-        return masks, agreements, bad
+        return agreements, bad
 
     def _domain(self, domain: Optional[Sequence[int]]):
-        """The domain (default: the universe), its 0-based indices and
-        their probe-set rows, gathered once per verify or encode call."""
+        """The domain (default: the universe) and its 0-based indices."""
         dom = tuple(domain) if domain is not None else tuple(range(1, self.n + 1))
-        dom_idx = np.asarray(dom, dtype=np.int64) - 1
-        return dom, dom_idx, self._sets0[dom_idx]
+        return dom, np.asarray(dom, dtype=np.int64) - 1
 
-    def _support_bytes(self, dom_size: int) -> int:
-        """About the bytes one data set takes in `_agreement`: its union
-        mask, its gathered domain rows, its member positions (int64) and,
-        per domain index, its count, agreement and flags."""
-        return self.n_prime + dom_size * (self.d + 32) + 8 * self.s * self.d
+    def _support_bytes(self, rows: int) -> int:
+        """About the bytes one data set takes in `_agreement` on a block
+        of `rows` domain rows: its OR and one gathered row of words, their
+        bit counts and, per domain index, its count, agreement and flags,
+        beside its s slots."""
+        return rows * (17 * -(-self.d // 64) + self.s + 32) + 8 * self.s
 
     def verify(
         self,
@@ -255,62 +310,73 @@ class OneProbeMembership:
         """Check the agreement guarantee for every weight <= s data set
         over `domain` (default: the whole universe), exhaustively when
         there are at most `limit` supports, else on a uniform sample.
-        Supports go through `_agreement` in chunks of about
-        `_CHUNK_BYTES` bytes."""
-        dom, dom_idx, rows = self._domain(domain)
-        chunk = max(1, _CHUNK_BYTES // self._support_bytes(len(dom)))
+        Each block of domain rows from `_overlaps` checks the supports in
+        chunks of about `_CHUNK_BYTES` bytes."""
+        dom, dom_idx = self._domain(domain)
+        rows = max(1, min(len(dom), self._block_rows(len(dom))))
+        chunk = max(1, _CHUNK_BYTES // self._support_bytes(rows))
         total = ball_size(len(dom), self.s)
         exhaustive = total <= limit
+        supports = self._supports(len(dom), total, exhaustive, limit, rng)
         min_agree = 1.0
         violations = 0
-        checked = 0
-        supports = self._supports(dom, total, exhaustive, limit, rng)
-        while batch := list(islice(supports, chunk)):
-            _, agreements, bad = self._agreement(self._padded(batch), dom_idx, rows)
-            min_agree = min(min_agree, agreements.min(initial=1.0))
-            violations += int(bad.sum())
-            checked += len(batch)
+        for block, table in self._overlaps(dom_idx, dom_idx):
+            for start in range(0, len(supports), chunk):
+                batch = supports[start : start + chunk]
+                agreements, bad = self._agreement(batch, dom_idx, dom_idx[block], table)
+                min_agree = min(min_agree, float(agreements.min(initial=1.0)))
+                violations += int(bad.sum())
         return VerificationReport(
             exhaustive=exhaustive,
-            checked_supports=checked,
+            checked_supports=len(supports),
             total_supports=total,
             min_agreement=min_agree,
             violations=violations,
         )
 
-    def _padded(self, supports: Sequence[Tuple[int, ...]]) -> np.ndarray:
-        """1-based supports of weight <= s as int64[B, s] rows of 0-based
-        universe indices, a support shorter than s padded with -1."""
-        rows = [support + (0,) * (self.s - len(support)) for support in supports]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), self.s) - 1
-
-    def _supports(self, dom, total, exhaustive, limit, rng):
-        if exhaustive:
-            for w in range(self.s + 1):
-                yield from combinations(dom, w)
-        else:
+    def _supports(self, size, total, exhaustive, limit, rng) -> np.ndarray:
+        """The data sets to check over a domain of `size` indices, as
+        int64[N, s] rows of 0-based domain slots, ascending, a set
+        shorter than s padded with -1: all `total` of them by weight, or
+        `limit` uniform draws, all ranks drawn by one `rng.integers` call
+        (the same ranks as one call per draw)."""
+        if not exhaustive:
             if rng is None:
                 rng = np.random.default_rng(0)
-            space = BoundedWeightSpace(len(dom), self.s)
-            for _ in range(limit):
-                k = int(rng.integers(space.size()))
-                yield tuple(dom[i - 1] for i in space.unrank(k).support())
+            space = BoundedWeightSpace(size, self.s)
+            return space.unrank_rows(rng.integers(space.size(), size=limit)) - 1
+        out = np.full((total, self.s), -1, dtype=np.int64)
+        row = 0
+        for w in range(min(self.s, size) + 1):
+            count = math.comb(size, w)
+            sets = chain.from_iterable(combinations(range(size), w))
+            out[row : row + count, :w] = np.fromiter(sets, np.int64, count * w).reshape(count, w)
+            row += count
+        return out
 
     def encode(
         self, x: BitString, verify_domain: Optional[Sequence[int]] = None
     ) -> Tuple[BitString, np.ndarray]:
         """Union encoding of the set x, plus the per-index agreement
         profile over the verification domain (default: the universe),
-        from `_agreement` on a batch of one.  Raises VerificationError for
-        the first domain index that violates the agreement guarantee."""
+        from `_agreement` on x alone, against an overlap table of x's
+        members.  Raises VerificationError for the first domain index that
+        violates the agreement guarantee."""
         if x.n != self.n:
             raise ParameterError("data length does not match universe")
         if x.weight > self.s:
             raise ParameterError("data weight exceeds s")
-        dom, dom_idx, rows = self._domain(verify_domain)
-        (mask,), (agreements,), (bad,) = self._agreement(self._padded([x.support()]), dom_idx, rows)
+        dom, dom_idx = self._domain(verify_domain)
+        members = np.asarray(x.support(), dtype=np.int64) - 1
+        slots = np.arange(len(members))[None, :]
+        agreements = np.empty(len(dom))
+        bad = np.empty(len(dom), dtype=bool)
+        for block, table in self._overlaps(members, dom_idx):
+            (agreements[block],), (bad[block],) = self._agreement(slots, members, dom_idx[block], table)
         if bad.any():
             raise VerificationError("index %d collides beyond eps" % dom[int(bad.argmax())])
+        mask = np.zeros(self.n_prime, dtype=np.uint8)
+        mask[self._sets0[members]] = 1
         return BitString.from_bit_array(mask), agreements
 
     def instance(self, x: BitString) -> "MembershipInstance":
@@ -564,12 +630,9 @@ class BlockCodedMembership:
         arr = y.to_bit_array()
         shuffled = np.zeros_like(arr)
         shuffled[self.perm] = arr
-        pieces = []
-        shift = np.arange(self.a - 1, -1, -1, dtype=np.uint64)
-        for k in range(self.b):
-            block = shuffled[k * self.a : (k + 1) * self.a].astype(np.uint64)
-            pieces.append(BitString.from_bit_array(self.code.encode_value(int((block << shift).sum()))))
-        return Codeword(BitString.concat(pieces)), agreements
+        # block values, the block's first bit most significant
+        values = shuffled.reshape(self.b, self.a).astype(np.int64) @ (1 << np.arange(self.a - 1, -1, -1))
+        return Codeword(self.code.encode_blocks(values)), agreements
 
     def instance(self, x: BitString, decoder: str = "block") -> "ComposedInstance":
         codeword, agreements = self.encode(x)

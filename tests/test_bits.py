@@ -8,6 +8,7 @@ sort, and compare indices.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,47 @@ def test_unrank_frozen_values():
         space.unrank(7)
     with pytest.raises(ValueError):
         space.rank(BitString.from01("111"))
+
+
+def padded_support(space, k):
+    support = space.unrank(k).support()
+    return list(support) + [0] * (space.r - len(support))
+
+
+@pytest.mark.parametrize("n, r", [(0, 0), (1, 1), (5, 0), (6, 2), (8, 8), (12, 4)])
+def test_unrank_rows_match_unrank(n, r):
+    space = BoundedWeightSpace(n, r)
+    rows = space.unrank_rows(list(range(space.size())))
+    assert rows.dtype == np.int64 and rows.shape == (space.size(), r)
+    assert rows.tolist() == [padded_support(space, k) for k in range(space.size())]
+    for bad in ([-1], [space.size()]):
+        with pytest.raises(ValueError):
+            space.unrank_rows(bad)
+
+
+@pytest.mark.parametrize(
+    "n, r", [(3, 0), (1, 1), (64, 2), (300, 3), (64, 31), (63, 63)],
+    ids=["size-1", "size-2", "2081", "4.5M", "near-2^63", "2^63"],
+)
+def test_batched_draws_replay_scalar_draws(n, r):
+    """One rng.integers call for all ranks, then unrank_rows, gives the
+    supports of one rng.integers and one unrank per draw, on the running
+    numpy: bounds from 1 up to 2^63, the largest an int64 draw takes."""
+    space = BoundedWeightSpace(n, r)
+    assert space.size() <= 1 << 63
+    rows = space.unrank_rows(np.random.default_rng(11).integers(space.size(), size=60))
+    rng = np.random.default_rng(11)
+    assert rows.tolist() == [padded_support(space, int(rng.integers(space.size()))) for _ in range(60)]
+
+
+def test_unrank_rows_refuse_spaces_past_int64():
+    """Past 2^63 strings neither a batch nor a scalar draw fits int64."""
+    space = BoundedWeightSpace(64, 32)
+    assert space.size() > 1 << 63
+    with pytest.raises(ValueError):
+        space.unrank_rows([0])
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).integers(space.size())
 
 
 @settings(max_examples=150, deadline=None)

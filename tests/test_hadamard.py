@@ -57,6 +57,21 @@ def test_encode_matches_brute_force():
             assert list(code.encode_value(xv)) == expect
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 8, 11])
+def test_encode_blocks_matches_encode_value(s):
+    """The one-pass batch encoding concatenates one encode_value per
+    message, for codewords shorter than a byte as well."""
+    code = HadamardCode(s)
+    values = np.random.default_rng(s).integers(code.length, size=7)
+    values[:2] = (0, code.length - 1)
+    got = code.encode_blocks(values)
+    expect = BitString.from_bit_array(np.concatenate([code.encode_value(int(v)) for v in values]))
+    assert got == expect and got.n == 7 * code.length
+    assert code.encode_blocks([]) == BitString.zeros(0)
+    with pytest.raises(ParameterError):
+        code.encode_blocks([0, code.length])
+
+
 def test_every_pair_at_exactly_half_distance():
     code = HadamardCode(3)
     words = [code.encode(BitString.from_int(3, v)) for v in range(8)]

@@ -118,6 +118,7 @@ def test_hand_verify_exhaustive():
     assert ver.checked_supports == 3
     assert ver.coverage == 1.0
     assert ver.min_agreement == pytest.approx(0.6)
+    assert type(ver.min_agreement) is float
     assert ver.violations == 0
 
 
@@ -244,14 +245,23 @@ def reference_verify(st, dom, limit, seed):
     return total <= limit, len(supports), total, min_agree, violations
 
 
+def overlap_agreement(st, supports, dom_idx):
+    """`_agreement` of every support (rows of domain slots) over the
+    whole domain, block by block of its overlap table."""
+    parts = [st._agreement(supports, dom_idx, dom_idx[block], table)
+             for block, table in st._overlaps(dom_idx, dom_idx)]
+    return tuple(np.concatenate(side, axis=1) for side in zip(*parts))
+
+
 @pytest.mark.parametrize("name", ["colliding", "built", "wide"])
 def test_members_agree_exactly_on_every_support(name):
     """A member's whole probe set lies in the union, so it agrees at
     exactly 1.0 and never breaks a threshold, collisions or not."""
     st = REFERENCE_STRUCTURES[name]()
-    dom, dom_idx, rows = st._domain(None)
+    dom, dom_idx = st._domain(None)
     supports = [c for w in range(1, st.s + 1) for c in combinations(dom, w)]
-    _, agreements, bad = st._agreement(st._padded(supports), dom_idx, rows)
+    slots = np.array([c + (0,) * (st.s - len(c)) for c in supports]) - 1
+    agreements, bad = overlap_agreement(st, slots, dom_idx)
     for support, agree, flags in zip(supports, agreements, bad):
         members = np.asarray(support) - 1
         assert agree[members].tolist() == [1.0] * len(support)
@@ -274,9 +284,25 @@ def wide_structure():
     return OneProbeMembership(12, 2, 0.5, sets, 3000)
 
 
+def spread_structure(d, n_prime, eps, seed=20):
+    """12 random probe sets of d positions (d = 1: distinct ones), so
+    that d around a multiple of 64 fills whole words, or one bit past
+    them, with a threshold no data set breaks."""
+    rng = np.random.default_rng(seed)
+    if d == 1:
+        sets = [(p + 1,) for p in rng.permutation(n_prime)[:12]]
+    else:
+        sets = [tuple(rng.choice(n_prime, size=d, replace=False) + 1) for _ in range(12)]
+    return OneProbeMembership(12, 2, eps, sets, n_prime)
+
+
 REFERENCE_STRUCTURES = {
     "colliding": colliding_structure,
     "wide": wide_structure,
+    "d1": lambda: spread_structure(1, 24, 0.5),
+    "d8": lambda: spread_structure(8, 120, 0.5),
+    "d64": lambda: spread_structure(64, 1000, 0.4),
+    "d65": lambda: spread_structure(65, 1000, 0.4),
     "built": lambda: OneProbeMembership.build(14, 2, eps=0.35, seed=8, domain=range(2, 9)),
 }
 
@@ -328,24 +354,30 @@ def test_encode_matches_set_recount(name, dom):
 @pytest.mark.parametrize("name", sorted(REFERENCE_STRUCTURES))
 @pytest.mark.parametrize("limit", [100_000, 47])
 def test_verify_chunks_match_set_recount(monkeypatch, name, limit):
-    """A byte budget for 9 supports a chunk: exhaustive and sampled passes
-    span several full chunks and a shorter last one, and still count as
-    the set recount does."""
+    """Blocks of 5 domain rows and a byte budget for 9 supports a chunk:
+    each block's exhaustive or sampled pass spans several full chunks
+    and a shorter last one, and still counts as the set recount does."""
     st = REFERENCE_STRUCTURES[name]()
-    monkeypatch.setattr(membership, "_CHUNK_BYTES", 9 * st._support_bytes(st.n) + 1)
-    sizes = []
+    monkeypatch.setattr(st, "_block_rows", lambda cols: 5)
+    monkeypatch.setattr(membership, "_CHUNK_BYTES", 9 * st._support_bytes(5) + 1)
+    sizes = {}
     agreement = st._agreement
 
-    def spy(supports, dom_idx, rows):
-        sizes.append(len(supports))
-        return agreement(supports, dom_idx, rows)
+    def spy(supports, cols, dom_idx, table):
+        sizes.setdefault(tuple(dom_idx.tolist()), []).append(len(supports))
+        return agreement(supports, cols, dom_idx, table)
 
     monkeypatch.setattr(st, "_agreement", spy)
     ver = st.verify(limit=limit, rng=np.random.default_rng(3))
     dom = tuple(range(1, st.n + 1))
     exhaustive, checked, total, min_agree, violations = reference_verify(st, dom, limit, 3)
-    assert len(sizes) > 2 and sizes[:-1] == [9] * (len(sizes) - 1) and 0 < sizes[-1] < 9
-    assert sum(sizes) == checked
+    blocks = list(sizes)
+    assert [i + 1 for block in blocks for i in block] == list(dom)
+    assert [len(block) for block in blocks[:-1]] == [5] * (len(blocks) - 1)
+    for block in blocks:
+        chunks = sizes[block]
+        assert len(chunks) > 2 and chunks[:-1] == [9] * (len(chunks) - 1) and 0 < chunks[-1] < 9
+        assert sum(chunks) == checked
     assert ver.exhaustive == exhaustive == (limit == 100_000)
     assert (ver.checked_supports, ver.total_supports) == (checked, total)
     assert ver.min_agreement == min_agree
@@ -366,6 +398,23 @@ def test_composed_base_verify_memory():
     assert ver.checked_supports == ver.total_supports == 2081
     assert ver.violations == 0
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("n, s", [(1024, 1), (256, 2)])
+def test_full_universe_verify_memory(n, s):
+    """Verifying full-universe structures (d = 100 in 100 000 positions,
+    and d = 80 in 160 000 over 32 897 data sets) allocates under 3 MiB at
+    its peak: the overlap table is built one block of domain rows at a
+    time (the whole table would take 32 MiB at n = 1024)."""
+    st = OneProbeMembership.build(n, s)
+    tracemalloc.start()
+    try:
+        ver = st.verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ver == st.report.verification and ver.exhaustive
+    assert peak < 3 << 20
 
 
 # -- composed ---------------------------------------------------------
@@ -398,6 +447,43 @@ def test_hand_composed_codeword():
     codeword, agreements = st.encode(BitString.from01("10"))
     assert codeword.bits.to01() == "0011001100000000"
     assert list(agreements) == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 8, 14])
+def test_composed_codeword_matches_block_encoding(a):
+    """Every data set's codeword is the shuffled union encoding cut into
+    a-bit blocks, each block's Hadamard encoding_value in turn, byte for
+    byte, also where a block's codeword is shorter than a byte."""
+    b = 6
+    order = np.random.default_rng(a).permutation(a * b) + 1
+    d = a * b // 4
+    base = OneProbeMembership(4, 4, 0.5, [order[k * d : (k + 1) * d] for k in range(4)], a * b)
+    st = BlockCodedMembership(4, base, np.random.default_rng(a + 1).permutation(a * b), a)
+    for v in range(16):
+        x = BitString.from_int(4, v)
+        codeword, _ = st.encode(x)
+        y, _ = base.encode(st.embed(x), verify_domain=range(1, 5))
+        shuffled = np.zeros(a * b, dtype=np.uint8)
+        shuffled[st.perm] = y.to_bit_array()
+        blocks = [int("".join(map(str, shuffled[k * a : (k + 1) * a])), 2) for k in range(b)]
+        expect = np.concatenate([st.code.encode_value(value) for value in blocks])
+        assert codeword.bits._data == BitString.from_bit_array(expect)._data
+        assert codeword.bits.n == b << a
+
+
+def test_composed_encode_memory():
+    """One composed encode (288 blocks of 2^14 bits) allocates at most
+    1.2 MiB at its peak: the codeword's bytes and their one copy."""
+    st = BlockCodedMembership.build(64, 2, a=14, b=288)
+    x = BitString.from_indices(64, list(st.good_indices[:2]))
+    tracemalloc.start()
+    try:
+        codeword, _ = st.encode(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codeword.bits.n == 288 << 14
+    assert peak <= 1.2 * 2**20
 
 
 def test_hand_composed_exact_errors():
