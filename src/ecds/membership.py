@@ -137,8 +137,9 @@ class OneProbeMembership:
             arr = np.asarray(probe_sets).reshape(n, self.d)
             if arr.size and arr.dtype.kind not in "biu":  # floats, strings, objects
                 raise TypeError
-            arr = np.sort(arr.astype(np.int64), axis=1)
-            if (np.diff(arr, axis=1) == 0).any():
+            arr = arr.astype(np.int64)
+            arr.sort(axis=1)
+            if (arr[:, 1:] == arr[:, :-1]).any():
                 raise ValueError
         except TypeError:
             raise ParameterError("probe-set positions must be integers") from None
@@ -146,7 +147,8 @@ class OneProbeMembership:
             raise ParameterError("probe sets must be equal-size and duplicate-free") from None
         if arr.size and (arr.min() < 1 or arr.max() > n_prime):
             raise ParameterError("probe-set positions out of range")
-        self._sets0 = arr - 1  # 0-based, each row ascending
+        arr -= 1
+        self._sets0 = arr  # 0-based, each row ascending
         self.report = report
 
     # non-members' threshold as an exact integer count; float eps only enters here
@@ -187,10 +189,11 @@ class OneProbeMembership:
         last: Optional[VerificationReport] = None
         for attempt in range(retries):
             rng = np.random.default_rng(derive_seed("probe-sets", seed, attempt))
-            sets0 = np.empty((n, d), dtype=np.int64)
+            sets = np.empty((n, d), dtype=np.int64)
             for i in range(n):
-                sets0[i] = rng.choice(n_prime, size=d, replace=False)
-            st = cls(n, s, eps, sets0 + 1, n_prime)
+                sets[i] = rng.choice(n_prime, size=d, replace=False)
+            sets += 1
+            st = cls(n, s, eps, sets, n_prime)
             ver = st.verify(
                 domain=dom,
                 limit=verify_limit,
@@ -309,7 +312,8 @@ class OneProbeMembership:
     ) -> VerificationReport:
         """Check the agreement guarantee for every weight <= s data set
         over `domain` (default: the whole universe), exhaustively when
-        there are at most `limit` supports, else on a uniform sample.
+        there are at most `limit` supports, else on a uniform sample,
+        which needs s <= len(domain) (ParameterError otherwise).
         Each block of domain rows from `_overlaps` checks the supports in
         chunks of about `_CHUNK_BYTES` bytes."""
         dom, dom_idx = self._domain(domain)
@@ -341,6 +345,11 @@ class OneProbeMembership:
         `limit` uniform draws, all ranks drawn by one `rng.integers` call
         (the same ranks as one call per draw)."""
         if not exhaustive:
+            if self.s > size:  # all `total` subsets of the domain are admissible
+                raise ParameterError(
+                    "cannot sample data sets of weight <= %d from %d domain indices: "
+                    "need limit >= %d to check all of them" % (self.s, size, total)
+                )
             if rng is None:
                 rng = np.random.default_rng(0)
             space = BoundedWeightSpace(size, self.s)
@@ -426,7 +435,7 @@ class MembershipInstance(IndexQueries):
             "s": st.s,
             "eps": st.eps,
             "n_prime": st.n_prime,
-            "probe_sets": (st._sets0 + 1).tolist(),
+            "probe_sets": st._sets0 + 1,
         }
 
     @classmethod
@@ -449,8 +458,7 @@ class MembershipInstance(IndexQueries):
     def plan(self, query: int, coins: np.ndarray):
         """Probe one uniformly random position of P_i."""
         self.check_query(query)
-        probe_set = np.array(self.structure.probe_set(query), dtype=np.int64)
-        return probe_set[coins[:, :1]], xor_all
+        return (self.structure._sets0[query - 1] + 1)[coins[:, :1]], xor_all
 
     def check_query(self, query: int) -> None:
         if not 1 <= query <= self.structure.n:
@@ -685,8 +693,8 @@ class ComposedInstance(IndexQueries):
             "a": st.a,
             "b": st.b,
             "n_prime": st.base.n_prime,
-            "probe_sets": (st.base._sets0 + 1).tolist(),
-            "perm": st.perm.tolist(),
+            "probe_sets": st.base._sets0 + 1,
+            "perm": st.perm,
         }
 
     @classmethod

@@ -5,14 +5,24 @@ codeword bytes.  The header carries everything needed to rebuild the
 scheme deterministically; on load the scheme is rebuilt and its codeword
 checked bit-for-bit against the payload, so silent drift between header
 and payload cannot pass.
+
+Integer arrays in a header (membership probe sets and permutations) are
+written packed, as {"array": dtype, "shape": [...], "data": base64}: the
+little-endian bytes of the smallest integer dtype that holds the values.
+Files that do so are version 2.  Version-1 files, which hold the same
+arrays as JSON lists of ints, are still read.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
+import math
 from typing import Dict, Tuple
+
+import numpy as np
 
 from .bits import BitString
 from .errors import ParameterError
@@ -38,19 +48,59 @@ KINDS = {
 }
 
 
+def _pack(obj) -> Dict[str, object]:
+    """An integer array as its packed header object (`json.dumps` default)."""
+    if not isinstance(obj, np.ndarray) or obj.dtype.kind not in "iu":
+        raise TypeError("cannot write %s into a header" % type(obj).__name__)
+    lo, hi = (int(obj.min()), int(obj.max())) if obj.size else (0, 0)
+    dtype = np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)).newbyteorder("<")
+    return {
+        "array": dtype.str,
+        "shape": list(obj.shape),
+        "data": base64.b64encode(obj.astype(dtype).tobytes()).decode("ascii"),
+    }
+
+
+def _unpack(obj: Dict) -> object:
+    """A packed header object back as a read-only array (`json.loads`
+    object hook); any other object is returned as it is."""
+    if "array" not in obj:
+        return obj
+    try:
+        dtype = np.dtype(obj["array"])
+        shape, data = obj["shape"], obj["data"]
+    except KeyError as exc:
+        raise ParameterError("packed array has no field %s" % exc) from None
+    except (TypeError, ValueError):
+        raise ParameterError("packed array has an unknown dtype") from None
+    if dtype.kind not in "iu":
+        raise ParameterError("packed array is not of an integer dtype")
+    if not isinstance(shape, list) or not all(type(v) is int and v >= 0 for v in shape):
+        raise ParameterError("packed array shape must be a list of sizes")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError):  # also binascii.Error
+        raise ParameterError("packed array data is not base64") from None
+    if len(raw) != math.prod(shape) * dtype.itemsize:
+        raise ParameterError("packed array data does not match its shape")
+    return np.frombuffer(raw, dtype).reshape(shape)
+
+
 def save_structure(path: str, scheme) -> None:
     head = scheme.header()
     bits = scheme.codeword.bits
-    head.update(kind=scheme.kind, x=scheme.x.to01(), format=FORMAT, version=1, length=bits.n)
+    head.update(kind=scheme.kind, x=scheme.x.to01(), format=FORMAT, version=2, length=bits.n)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(head, sort_keys=True).encode())
+        fh.write(json.dumps(head, sort_keys=True, default=_pack).encode())
         fh.write(b"\n")
         fh.write(bits._data)
 
 
 def _parse_header(path: str, raw: bytes, fmt: str) -> Dict:
     try:
-        head = json.loads(raw.decode())
+        head = json.loads(raw.decode(), object_hook=_unpack)
+    except ParameterError as exc:
+        raise ParameterError("malformed file %s: %s" % (path, exc)) from None
     except ValueError:  # also UnicodeDecodeError
         raise ParameterError("malformed file %s: header is not UTF-8 JSON" % path) from None
     if not isinstance(head, dict) or head.get("format") != fmt:

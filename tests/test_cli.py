@@ -4,6 +4,7 @@ Everything runs through main(argv) in-process; stdout is parsed back as
 JSON and compared across runs for byte-level determinism.
 """
 
+import base64
 import json
 import os
 import shlex
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ecds
@@ -618,14 +620,68 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_non_integer_membership_header_is_refused(tmp_path, capsys, scheme, field, cast):
-    """Positions written as 118.0 or "118" are refused, not cast to int."""
+    """Positions written as 118.0 or "118" in a version-1 header (JSON
+    lists) are refused, not cast to int."""
     path = tmp_path / "m.ecds"
     run_json(capsys, "build", "--scheme", scheme, *SCHEME_FLAGS[scheme], "--out-file", str(path))
     line, payload = path.read_bytes().split(b"\n", 1)
     head = json.loads(line)
-    values = head[field]
+    values = unpacked(head[field]).tolist()
     head[field] = [[cast(v) for v in row] for row in values] if field == "probe_sets" else [cast(v) for v in values]
+    head["version"] = 1
     path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
     code, out, err = run(capsys, "decode", "--structure", str(path), "--query", "1")
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParameterError"
+
+
+def unpacked(packed):
+    """A packed header array, decoded independently of `ecds.storage`."""
+    raw = base64.b64decode(packed["data"])
+    return np.frombuffer(raw, np.dtype(packed["array"])).reshape(packed["shape"])
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        "float-dtype",
+        "unknown-dtype",
+        "not-base64",
+        "short-data",
+        "wrong-shape",
+        "shape-not-list",
+        "negative-shape",
+    ],
+)
+@pytest.mark.parametrize(
+    "scheme, field",
+    [("mem-1p", "probe_sets"), ("mem-composed", "probe_sets"), ("mem-composed", "perm")],
+)
+def test_malformed_packed_array_is_refused(tmp_path, capsys, scheme, field, tamper):
+    """A packed header array with a non-integer or unknown dtype, data
+    that is not base64, or a byte count that does not match its shape
+    exits 3, never with a bare TypeError or binascii.Error."""
+    path = tmp_path / "m.ecds"
+    run_json(capsys, "build", "--scheme", scheme, *SCHEME_FLAGS[scheme], "--out-file", str(path))
+    line, payload = path.read_bytes().split(b"\n", 1)
+    head = json.loads(line)
+    packed = head[field]
+    raw = base64.b64decode(packed["data"])
+    head[field] = {
+        "float-dtype": dict(
+            packed,
+            array="<f8",
+            data=base64.b64encode(unpacked(packed).astype("<f8").tobytes()).decode(),
+        ),
+        "unknown-dtype": dict(packed, array="junk"),
+        "not-base64": dict(packed, data="!" + packed["data"]),
+        "short-data": dict(packed, data=base64.b64encode(raw[:-1]).decode()),
+        "wrong-shape": dict(packed, shape=[packed["shape"][0] + 1, *packed["shape"][1:]]),
+        "shape-not-list": dict(packed, shape="%dx1" % len(raw)),
+        "negative-shape": dict(packed, shape=[-1, -unpacked(packed).size]),
+    }[tamper]
+    path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+    code, out, err = run(capsys, "decode", "--structure", str(path), "--query", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+    assert "packed array" in json.loads(err)["message"]

@@ -92,12 +92,18 @@ def test_structure_validation():
          "past-end", "zero", "float", "string", "mixed"],
 )
 def test_probe_set_rows_are_checked(sets, message):
-    """Rows are sorted once and checked by differences: a repeat anywhere
-    in a row, ragged rows, positions outside [1, n'] and positions that
-    are not integers (never cast) are refused."""
+    """Rows are sorted once and each position compared with the next: a
+    repeat anywhere in a row, ragged rows, positions outside [1, n'] and
+    positions that are not integers (never cast) are refused.  The rows
+    given are copied, not sorted in place: a read-only array, as loaded
+    from a file, is accepted."""
     with pytest.raises(ParameterError, match=message):
         OneProbeMembership(2, 1, 0.1, sets, 8)
     st = OneProbeMembership(2, 1, 0.1, [(5, 1, 3), (8, 2, 7)], 8)
+    assert (st.probe_set(1), st.probe_set(2)) == ((1, 3, 5), (2, 7, 8))
+    rows = np.array([(5, 1, 3), (8, 2, 7)])
+    rows.flags.writeable = False
+    st = OneProbeMembership(2, 1, 0.1, rows, 8)
     assert (st.probe_set(1), st.probe_set(2)) == ((1, 3, 5), (2, 7, 8))
 
 
@@ -120,6 +126,19 @@ def test_hand_verify_exhaustive():
     assert ver.min_agreement == pytest.approx(0.6)
     assert type(ver.min_agreement) is float
     assert ver.violations == 0
+
+
+def test_verify_domain_smaller_than_s():
+    """With s above the domain size every subset of the domain is
+    admissible: it is checked exhaustively within `limit`, and a sample
+    is refused with ParameterError, not a bare ValueError."""
+    st = OneProbeMembership(3, 2, 0.3, [(1, 2), (3, 4), (5, 6)], 6)
+    ver = st.verify(domain=[2], limit=2)
+    assert ver.exhaustive and ver.checked_supports == ver.total_supports == 2
+    with pytest.raises(ParameterError, match="limit >= 2"):
+        st.verify(domain=[2], limit=1)
+    ver = st.verify(domain=[1, 2], limit=3)  # s equal to the domain size samples
+    assert not ver.exhaustive and ver.checked_supports == 3
 
 
 def test_hand_verify_detects_violations():

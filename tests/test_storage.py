@@ -1,5 +1,6 @@
 """Structure and pattern files: round trips and integrity checking."""
 
+import base64
 import json
 import random
 import re
@@ -15,6 +16,7 @@ from ecds.inner_product import PolySharedIp, SubstringHadamard, TableIp
 from ecds.membership import BlockCodedMembership, OneProbeMembership
 from ecds.oracle import CorruptionPattern
 from ecds.storage import (
+    KINDS,
     load_pattern,
     load_structure,
     report_csv_text,
@@ -81,6 +83,75 @@ def test_roundtrip_composed(tmp_path):
         assert back.decoder == decoder
         assert back.structure.good_indices == (1, 2)
         assert np.array_equal(back.structure.perm, st.perm)
+
+
+def storable_schemes():
+    """At least one scheme of every storable kind."""
+    x = BitString.from01("110100")
+    yield HadamardIp(BitString.from01("10110"))
+    yield EqualityScheme(BitString.from01("1011"))
+    yield EqualityScheme(BitString.from01("1011"), code=RandomLinearCode(4, 18, rng=random.Random(2)))
+    yield TableIp(x, 3, 2)
+    yield PolySharedIp(BitString.from01("1011"), 1, 3)
+    yield SubstringHadamard(x, 3, t=3)
+    yield OneProbeMembership.build(8, 1, 0.3).instance(BitString.from01("00100000"))
+    composed = BlockCodedMembership.build(16, 1, 0.4, a=5, b=40)
+    yield composed.instance(BitString.from_indices(16, [3]))
+    yield composed.instance(BitString.from_indices(16, [3]), "direct")
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    first, second = tmp_path / "first.ecds", tmp_path / "second.ecds"
+    kinds = set()
+    for scheme in storable_schemes():
+        save_structure(str(first), scheme)
+        save_structure(str(second), load_structure(str(first)))
+        assert first.read_bytes() == second.read_bytes(), scheme.name
+        kinds.add(scheme.kind)
+    assert kinds == set(KINDS)
+
+
+def test_version1_list_headers_still_load(tmp_path):
+    """A version-1 file holds its integer arrays as JSON lists of ints: it
+    loads to the same structure, and saves back as the version-2 file."""
+    path = tmp_path / "structure.ecds"
+    for scheme in storable_schemes():
+        save_structure(str(path), scheme)
+        packed = path.read_bytes()
+        line, payload = packed.split(b"\n", 1)
+        head = json.loads(line)
+        assert head["version"] == 2
+        for key, value in head.items():
+            if isinstance(value, dict) and "array" in value:
+                raw = base64.b64decode(value["data"])
+                head[key] = np.frombuffer(raw, value["array"]).reshape(value["shape"]).tolist()
+        head["version"] = 1
+        path.write_bytes(json.dumps(head, sort_keys=True).encode() + b"\n" + payload)
+        back = load_structure(str(path))
+        assert back.codeword == scheme.codeword
+        assert back.params() == scheme.params()
+        save_structure(str(path), back)
+        assert path.read_bytes() == packed
+
+
+def test_membership_arrays_are_packed_small(tmp_path):
+    """Probe sets and permutations are written in the smallest integer
+    dtype that holds them, little-endian."""
+    path = tmp_path / "structure.ecds"
+    composed = BlockCodedMembership.build(16, 1, 0.4, a=5, b=40)
+    save_structure(str(path), composed.instance(BitString.from_indices(16, [3])))
+    head = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert head["probe_sets"]["array"] == "|u1"  # positions 1..200
+    assert head["probe_sets"]["shape"] == [320, 40]
+    assert head["perm"]["array"] == "|u1"
+    st = OneProbeMembership(2, 1, 0.4, [(1, 2), (299, 300)], 300)
+    save_structure(str(path), st.instance(BitString.from01("10")))
+    head = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert head["probe_sets"] == {
+        "array": "<u2",
+        "data": base64.b64encode(np.array([[1, 2], [299, 300]], "<u2").tobytes()).decode(),
+        "shape": [2, 2],
+    }
 
 
 def test_tampered_payload_is_rejected(tmp_path):
