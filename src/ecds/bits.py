@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -92,16 +92,6 @@ class BitString:
         """Pack a 0/1 uint8 array, element 0 becoming index 1."""
         return cls(len(arr), np.packbits(arr).tobytes())
 
-    @classmethod
-    def concat(cls, parts: Sequence["BitString"]) -> "BitString":
-        n = sum(p.n for p in parts)
-        if all(p.n % 8 == 0 for p in parts):
-            return cls(n, b"".join(p._data for p in parts))
-        v = 0
-        for p in parts:
-            v = (v << p.n) | p.value
-        return cls.from_int(n, v)
-
     # -- reads --------------------------------------------------------
 
     def bit(self, i: int) -> int:
@@ -130,13 +120,6 @@ class BitString:
                 base = 8 * bi + 1
                 out.extend(base + k for k in _BYTE_ONES[b])
         return tuple(out)
-
-    def segment(self, start: int, length: int) -> "BitString":
-        """The contiguous block at indices start..start+length-1."""
-        if length < 0 or start < 1 or start + length - 1 > self.n:
-            raise ValueError("segment out of range")
-        shift = self.n - (start + length - 1)
-        return BitString.from_int(length, (self.value >> shift) & ((1 << length) - 1))
 
     def to_bit_array(self) -> np.ndarray:
         return np.unpackbits(np.frombuffer(self._data, dtype=np.uint8))[: self.n]
@@ -308,6 +291,8 @@ class BoundedWeightSpace:
         The next one after the j-th sits at the first position i whose
         count ball_size(n - i, r - j) is at most what is left of the rank,
         so each weight level is one searchsorted over that (int64) table.
+        Consecutive ranks give the strings in `__iter__` order, which is
+        how tables and exhaustive verification enumerate a space.
         Refuses spaces of more than 2^63 strings, whose tables overflow."""
         if self.size() > 1 << 63:
             raise ValueError("space too large for int64 ranks")

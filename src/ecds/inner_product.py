@@ -38,7 +38,7 @@ from .hadamard import (
     pair_reads,
     xor_all,
 )
-from .oracle import Codeword, Scheme
+from .oracle import MC_BLOCK, Codeword, Scheme
 
 
 class LowWeightQueries(Scheme):
@@ -83,28 +83,25 @@ class TableIp(LowWeightQueries):
     header_fields = ("r", "p")
 
     def __init__(self, x: BitString, r: int, p: int = 1):
-        if p < 1:
-            raise ParameterError("need p >= 1")
+        if table_ip_length(x.n, r, p) > (1 << MAX_EXPONENT):
+            raise InfeasibleSizeError("table would exceed desk scale")
         self.x = x
         self.r = r
         self.p = p
         self.space = BoundedWeightSpace(x.n, math.ceil(r / p))
-        if self.space.size() > (1 << MAX_EXPONENT):
-            raise InfeasibleSizeError("table would exceed desk scale")
         self._codeword = Codeword(self._build_table())
 
     def _build_table(self) -> BitString:
-        if self.x.n <= 63:
-            vals = np.fromiter(
-                (z.value for z in self.space), dtype=np.uint64, count=self.space.size()
-            )
-            bits = (np.bitwise_count(vals & np.uint64(self.x.value)) & 1).astype(
-                np.uint8
-            )
-            return BitString.from_bit_array(bits)
-        return BitString.from_bit_array(
-            np.fromiter((dot_mod2(self.x, z) for z in self.space), dtype=np.uint8)
-        )
+        """x.z for every z of the space, in rank order: the sum mod 2 of
+        x's bits at z's one-positions (`unrank_rows`, whose 0 padding
+        reads a zero bit), MC_BLOCK ranks at a time."""
+        xbits = np.concatenate(([0], self.x.to_bit_array()))
+        size = self.space.size()
+        bits = np.empty(size, dtype=np.uint8)
+        for lo in range(0, size, MC_BLOCK):
+            rows = self.space.unrank_rows(np.arange(lo, min(lo + MC_BLOCK, size)))
+            bits[lo : lo + MC_BLOCK] = xbits[rows].sum(axis=1) & 1
+        return BitString.from_bit_array(bits)
 
     @property
     def codeword(self) -> Codeword:
@@ -170,24 +167,12 @@ class SubstringHadamard(LowWeightQueries):
             raise InfeasibleSizeError("piece length 2^%d is beyond desk scale" % self.chunk)
         self.code = HadamardCode(self.chunk)
         self.piece_len = self.code.length
-        self._codeword = Codeword(BitString.concat(self._pieces()))
-
-    def _pieces(self) -> List[BitString]:
-        out = []
-        for k in range(self.r):
-            start = k * self.chunk + 1
-            length = min(self.chunk, self.x.n - start + 1)
-            if length <= 0:
-                # chunks can overshoot n; spare pieces encode zero
-                msg = BitString.zeros(self.chunk)
-            else:
-                msg = self.x.segment(start, length)
-                # zero-pad the trailing chunk on the right
-                msg = BitString.from_int(
-                    self.chunk, msg.value << (self.chunk - length)
-                )
-            out.append(self.code.encode(msg))
-        return out
+        # piece k (0-based) encodes bits k*c+1..(k+1)*c of x zero-padded on
+        # the right to r*c bits: chunks past n are zero
+        padded = x.value << (r * self.chunk - x.n)
+        mask = (1 << self.chunk) - 1
+        chunks = [(padded >> ((r - 1 - k) * self.chunk)) & mask for k in range(r)]
+        self._codeword = Codeword(self.code.encode_blocks(chunks))
 
     @property
     def codeword(self) -> Codeword:
@@ -362,11 +347,7 @@ class PolySharedIp(LowWeightQueries):
         if len(self.subsets) > x.n:
             self.dummy = self.subsets.pop()
         self._tables = self._build_tables()
-        self._codeword = Codeword(
-            BitString.concat(
-                [BitString.from_bit_array(t) for t in self._tables]
-            )
-        )
+        self._codeword = Codeword(BitString.from_bit_array(np.concatenate(self._tables)))
 
     # variable (l, t) of the rm-bit point vector: copy l in 1..r, var t
     # in 1..m; bit (l-1)*m + t counted from the left (index 1 first).

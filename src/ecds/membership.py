@@ -4,9 +4,10 @@ The one-probe structure assigns every universe element i a random set
 P_i of d positions in a length-n' bit vector; encoding a set stores the
 union of the P_i over its members, and decoding probes one uniformly
 random j in P_i.  A build is only accepted after verifying, for every
-admissible data set (weight <= s) and every index in the verification
-domain, that the probed bit agrees with membership with probability at
-least 1 - eps over the probe choice.  Members always agree exactly (the
+admissible data set (weight <= s; a uniform sample of them when there are
+more than `verify_limit`) and every index in the verification domain,
+that the probed bit agrees with membership with probability at least
+1 - eps over the probe choice.  Members always agree exactly (the
 union contains their whole set); the verified direction is that
 non-members collide with at most an eps fraction of their set.
 
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import chain, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -295,7 +295,10 @@ class OneProbeMembership:
     def _domain(self, domain: Optional[Sequence[int]]):
         """The domain (default: the universe) and its 0-based indices."""
         dom = tuple(domain) if domain is not None else tuple(range(1, self.n + 1))
-        return dom, np.asarray(dom, dtype=np.int64) - 1
+        dom_idx = np.asarray(dom, dtype=np.int64) - 1
+        if dom_idx.size and (dom_idx.min() < 0 or dom_idx.max() >= self.n):
+            raise ParameterError("domain indices must lie in 1..n")
+        return dom, dom_idx
 
     def _support_bytes(self, rows: int) -> int:
         """About the bytes one data set takes in `_agreement` on a block
@@ -340,10 +343,10 @@ class OneProbeMembership:
 
     def _supports(self, size, total, exhaustive, limit, rng) -> np.ndarray:
         """The data sets to check over a domain of `size` indices, as
-        int64[N, s] rows of 0-based domain slots, ascending, a set
-        shorter than s padded with -1: all `total` of them by weight, or
-        `limit` uniform draws, all ranks drawn by one `rng.integers` call
-        (the same ranks as one call per draw)."""
+        int64[N, min(s, size)] rows of 0-based domain slots, ascending, a
+        set shorter than the row padded with -1: the sets of ranks
+        0..total-1, all of them, or of `limit` uniform ranks drawn by one
+        `rng.integers` call (the same ranks as one call per draw)."""
         if not exhaustive:
             if self.s > size:  # all `total` subsets of the domain are admissible
                 raise ParameterError(
@@ -352,16 +355,9 @@ class OneProbeMembership:
                 )
             if rng is None:
                 rng = np.random.default_rng(0)
-            space = BoundedWeightSpace(size, self.s)
-            return space.unrank_rows(rng.integers(space.size(), size=limit)) - 1
-        out = np.full((total, self.s), -1, dtype=np.int64)
-        row = 0
-        for w in range(min(self.s, size) + 1):
-            count = math.comb(size, w)
-            sets = chain.from_iterable(combinations(range(size), w))
-            out[row : row + count, :w] = np.fromiter(sets, np.int64, count * w).reshape(count, w)
-            row += count
-        return out
+        space = BoundedWeightSpace(size, min(self.s, size))
+        ranks = np.arange(total) if exhaustive else rng.integers(total, size=limit)
+        return space.unrank_rows(ranks) - 1
 
     def encode(
         self, x: BitString, verify_domain: Optional[Sequence[int]] = None
@@ -473,7 +469,7 @@ class MembershipInstance(IndexQueries):
     def probe_set_killer(self, budget: int, target=None) -> Tuple[int, ...]:
         """Flip the first positions of the target's probe set (index 1 by
         default): each flip raises its decoding error by 1/d."""
-        return self.structure.probe_set(1 if target is None else target)[:budget]
+        return self.structure.probe_set(1 if target is None else target)[: max(budget, 0)]
 
     def params(self) -> Dict[str, object]:
         out = self.structure.params()
@@ -538,34 +534,29 @@ class BlockCodedMembership:
         self.code = HadamardCode(a)
         self.length = self.b * self.code.length
         self.report = report
-        self._block_info = [self._index_blocks(i) for i in range(1, public_n + 1)]
-        self.good_indices = tuple(
-            i
-            for i in range(1, public_n + 1)
-            if 4 * np.count_nonzero(self._block_info[i - 1][1]) >= self.b
-        )
+        # the shuffled positions of each public P_i, and per element whether
+        # no other element of P_i shares its block
+        self._placed = self.perm[base._sets0[:public_n]]
+        cells = self._placed // a + self.b * np.arange(public_n)[:, None]
+        self._alone = np.bincount(cells.ravel(), minlength=public_n * self.b)[cells] == 1
+        # a block is good for i when it holds exactly one element of P_i
+        self.good_indices = tuple((np.flatnonzero(4 * self._alone.sum(axis=1) >= self.b) + 1).tolist())
 
-    def _index_blocks(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-block element counts of P_i after the shuffle, and per block
-        the local (1-based) position of its element if it holds exactly
-        one, else 0."""
-        k, e = np.divmod(self.perm[self.base._sets0[i - 1]], self.a)
-        counts = np.bincount(k, minlength=self.b)
-        local = np.zeros(self.b, dtype=np.int64)
-        once = counts[k] == 1
-        local[k[once]] = e[once] + 1
-        return counts, local
-
-    def block_counts(self, i: int) -> np.ndarray:
+    def placement(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per element of P_i, in probe-set order: the block it lands in
+        after the shuffle and its local bit there (both 0-based)."""
         if not 1 <= i <= self.public_n:
             raise ParameterError("index out of range")
-        return self._block_info[i - 1][0].copy()
+        return np.divmod(self._placed[i - 1], self.a)
+
+    def block_counts(self, i: int) -> np.ndarray:
+        return np.bincount(self.placement(i)[0], minlength=self.b)
 
     def good_blocks(self, i: int) -> Dict[int, int]:
         """Blocks holding exactly one element of P_i: block -> local bit."""
-        if not 1 <= i <= self.public_n:
-            raise ParameterError("index out of range")
-        return {k + 1: int(e) for k, e in enumerate(self._block_info[i - 1][1]) if e}
+        held, bit = self.placement(i)
+        alone = self._alone[i - 1]
+        return {k + 1: e + 1 for k, e in sorted(zip(held[alone].tolist(), bit[alone].tolist()))}
 
     @classmethod
     def build(
@@ -729,11 +720,14 @@ class ComposedInstance(IndexQueries):
         where nothing is read."""
         self.check_query(query)
         st = self.structure
-        if self.decoder == "block":
-            local = st._block_info[query - 1][1]
-            return np.arange(st.b), np.where(local > 0, 1 << (st.a - local), 0)
-        blocks, e0 = np.divmod(st.perm[st.base._sets0[query - 1]], st.a)
-        return blocks, 1 << (st.a - 1 - e0)
+        blocks, bit = st.placement(query)
+        units = 1 << (st.a - 1 - bit)
+        if self.decoder == "direct":
+            return blocks, units
+        alone = st._alone[query - 1]
+        local = np.zeros(st.b, dtype=np.int64)
+        local[blocks[alone]] = units[alone]
+        return np.arange(st.b), local
 
     def plan(self, query: int, coins: np.ndarray):
         """The coin picks a block and a fallback bit fb (block decoder) or
@@ -790,10 +784,10 @@ class ComposedInstance(IndexQueries):
         st = self.structure
         if target is None:
             target = st.good_indices[0] if st.good_indices else 1
-        counts = st.block_counts(target)
-        held, e = np.divmod(st.perm[st.base._sets0[target - 1]], st.a)
+        held, bit = st.placement(target)
+        counts = np.bincount(held, minlength=st.b)
         local_masks = np.zeros(st.b, dtype=np.int64)
-        np.bitwise_or.at(local_masks, held, 1 << (st.a - 1 - e))
+        np.bitwise_or.at(local_masks, held, 1 << (st.a - 1 - bit))
         blocks = np.flatnonzero(counts)
         blocks = blocks[np.argsort(-counts[blocks], kind="stable")]
         # every nonzero local mask inverts exactly half of its block

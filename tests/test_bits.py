@@ -84,14 +84,6 @@ def test_lex_order_is_numeric_order():
     assert [b.value for b in vals] == list(range(32))
 
 
-def test_segment_and_concat():
-    b = BitString.from01("10110100")
-    assert b.segment(3, 4).to01() == "1101"
-    assert b.segment(1, 8) == b
-    joined = BitString.concat([b.segment(1, 3), b.segment(4, 5)])
-    assert joined == b
-
-
 def test_bit_array_roundtrip():
     b = BitString.from01("101101001")
     arr = b.to_bit_array()

@@ -586,6 +586,19 @@ def test_zero_flag_is_refused_not_defaulted(tmp_path, capsys, scheme, flag):
     assert json.loads(err)["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("r, p", [("9", "3"), ("5", "1")])
+def test_table_r_beyond_n_is_refused_before_saving(tmp_path, capsys, r, p):
+    """r past n once saved a file that every later call refused."""
+    path = tmp_path / "x.ecds"
+    code, out, err = run(
+        capsys, "build", "--scheme", "ip-table", "--n", "4", "--r", r, "--p", p,
+        "--x", "1011", "--out-file", str(path),
+    )
+    assert code == 3, out
+    assert json.loads(err)["error"] == "ParameterError"
+    assert not path.exists()
+
+
 def readme_cli_commands():
     """Each `ecds ...` line of the README's CLI section, as an argv."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -130,6 +130,16 @@ def test_block_killer_inverts_good_blocks():
         attack(AdversaryStrategy(kind="block_killer", budget=2), direct.structure.base.instance(st.embed(x)))
 
 
+@pytest.mark.parametrize("budget", [-1, 0])
+def test_killers_flip_nothing_without_budget(budget):
+    """A negative budget flips nothing, like a zero one: probe_set_killer
+    once sliced [:-1] and returned all but one position of the set."""
+    mem = OneProbeMembership(2, 1, 0.4, [(1, 2, 3, 4, 5), (4, 5, 6, 7, 8)], 8)
+    assert tuple(mem.instance(BitString.from01("10")).probe_set_killer(budget)) == ()
+    assert composed_toy().instance(BitString.from01("10")).block_killer(budget).tolist() == []
+    assert SubstringHadamard(BitString.from01("1011"), 2).piece_killer(budget) == []
+
+
 def test_piece_killer_quarter_flip():
     sch = SubstringHadamard(BitString.from01("1011"), 2)
     strat = AdversaryStrategy(kind="piece_killer", budget=4)

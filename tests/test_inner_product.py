@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ecds.bits import BitString, BoundedWeightSpace, ball_size, dot_mod2
@@ -68,6 +69,26 @@ def test_table_single_probe_error_is_cell_indicator():
     for y in sch.queries():
         hit = (space.rank(y) + 1) in pattern
         assert exact_error(sch, y, pattern) == Fraction(1 if hit else 0)
+
+
+@pytest.mark.parametrize(
+    "n, r, p",
+    [(1, 0, 1), (5, 5, 5), (10, 4, 1), (30, 3, 1), (63, 2, 1), (64, 3, 2), (70, 2, 1), (79, 0, 2)],
+)
+def test_table_matches_per_query_dot_products(n, r, p):
+    """The table, gathered from `unrank_rows` a block of ranks at a time,
+    holds dot_mod2(x, z) for every z in the space's iteration order, on
+    both sides of 63 bits (n = 30, r = 3 spans two blocks)."""
+    x = BitString.random(n, random.Random(n * 100 + r))
+    sch = TableIp(x, r, p)
+    expect = [dot_mod2(x, z) for z in BoundedWeightSpace(n, math.ceil(r / p))]
+    assert sch.codeword.bits.to_bit_array().tolist() == expect
+
+
+@pytest.mark.parametrize("r, p", [(5, 1), (9, 3), (-1, 1)])
+def test_table_rejects_r_outside_0_to_n(r, p):
+    with pytest.raises(ParameterError, match="0 <= r <= n"):
+        TableIp(BitString.from01("1011"), r, p)
 
 
 def test_table_rejects_bad_queries():
@@ -257,6 +278,19 @@ def test_substring_geometry():
     y = BitString.from01("01010001")
     assert sch.probe_budget(y) == 6
     assert sch.coin_count(y) == 64
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (5, 2), (5, 4), (7, 7), (12, 3), (40, 5), (70, 7)])
+def test_substring_codeword_is_per_chunk_encodings(n, r):
+    """The one-call block encoding equals each chunk's own codeword in
+    turn, chunks running past n (n = 5, r = 4: the last holds no bit of x)
+    encoding their zero padding."""
+    x = BitString.random(n, random.Random(n * 10 + r))
+    sch = SubstringHadamard(x, r)
+    c = sch.chunk
+    padded = x.to01() + "0" * (r * c - n)
+    pieces = [sch.code.encode_value(int(padded[k * c : (k + 1) * c], 2)) for k in range(r)]
+    assert sch.codeword.bits == BitString.from_bit_array(np.concatenate(pieces))
 
 
 def test_substring_zero_padding_of_last_piece():

@@ -21,6 +21,7 @@ from ecds.bits import BitString, BoundedWeightSpace, ball_size
 from ecds.errors import ConstructionError, ParameterError, VerificationError
 from ecds.membership import (
     BlockCodedMembership,
+    ComposedInstance,
     MembershipInstance,
     OneProbeMembership,
     default_probe_params,
@@ -139,6 +140,32 @@ def test_verify_domain_smaller_than_s():
         st.verify(domain=[2], limit=1)
     ver = st.verify(domain=[1, 2], limit=3)  # s equal to the domain size samples
     assert not ver.exhaustive and ver.checked_supports == 3
+
+
+@pytest.mark.parametrize("size, s", [(1, 1), (6, 2), (8, 3), (5, 5), (3, 5)])
+def test_exhaustive_supports_are_every_combination(size, s):
+    """The exhaustive rows, from `unrank_rows`, hold every set of weight
+    <= s over the domain slots once each, ascending: the sets the
+    combinations loop listed, in another order."""
+    st = OneProbeMembership(1, s, 0.5, [(1,)], 1)
+    total = ball_size(size, s)
+    rows = st._supports(size, total, True, total, None).tolist()
+    got = sorted(tuple(v for v in row if v >= 0) for row in rows)
+    expect = sorted(c for w in range(min(s, size) + 1) for c in combinations(range(size), w))
+    assert len(rows) == total and got == expect
+
+
+@pytest.mark.parametrize("domain", [[0], [4], [1, -3], [2, 4]])
+def test_domain_indices_outside_universe_are_refused(domain):
+    """Index 0 once verified P_n (index -1 wrapped) and n + 1 raised a
+    bare IndexError: build, verify and encode refuse both."""
+    st = OneProbeMembership(3, 2, 0.3, [(1, 2), (3, 4), (5, 6)], 6)
+    with pytest.raises(ParameterError, match="domain"):
+        st.verify(domain=domain)
+    with pytest.raises(ParameterError, match="domain"):
+        st.encode(BitString.from01("100"), verify_domain=domain)
+    with pytest.raises(ParameterError, match="domain"):
+        OneProbeMembership.build(3, 1, 0.5, n_prime=30, d=3, domain=domain)
 
 
 def test_hand_verify_detects_violations():
@@ -628,6 +655,42 @@ def test_embed_places_data_in_public_prefix():
     assert emb.to01() == "1000"
     with pytest.raises(ParameterError):
         st.embed(BitString.from01("100"))
+
+
+def crowded_composed():
+    """Probe sets of 10 positions over 10 blocks: most blocks hold several
+    elements of a set, so some indices are good and some are not."""
+    rng = np.random.default_rng(23)
+    sets = [tuple(rng.choice(40, size=10, replace=False) + 1) for _ in range(30)]
+    base = OneProbeMembership(30, 2, 0.9, sets, 40)
+    return BlockCodedMembership(15, base, rng.permutation(40), 4)
+
+
+@pytest.mark.parametrize("make", [hand_composed, lambda: toy_built(), crowded_composed],
+                         ids=["hand", "toy", "crowded"])
+def test_composed_placement_matches_per_index_divmod(make):
+    """Block counts, good blocks, good indices and both decoders' reads
+    agree with one divmod and one bincount of each shuffled P_i."""
+    st = make()
+    x = BitString.zeros(st.public_n)
+    block, direct = (ComposedInstance(st, x, None, None, d) for d in ("block", "direct"))
+    good = []
+    for i in range(1, st.public_n + 1):
+        held, e = np.divmod(st.perm[st.base._sets0[i - 1]], st.a)
+        counts = np.bincount(held, minlength=st.b)
+        alone = {int(k) + 1: int(b) + 1 for k, b in zip(held, e) if counts[k] == 1}
+        assert st.block_counts(i).tolist() == counts.tolist()
+        assert list(st.good_blocks(i).items()) == sorted(alone.items())
+        good += [i] if 4 * len(alone) >= st.b else []
+        units = 1 << (st.a - 1 - e)
+        blocks, got = direct._reads(i)
+        assert (blocks.tolist(), got.tolist()) == (held.tolist(), units.tolist())
+        blocks, got = block._reads(i)
+        expect = [1 << (st.a - alone[k]) if k in alone else 0 for k in range(1, st.b + 1)]
+        assert (blocks.tolist(), got.tolist()) == (list(range(st.b)), expect)
+    assert st.good_indices == tuple(good)
+    if make is crowded_composed:
+        assert 0 < len(good) < st.public_n
 
 
 def parity_loop_block_killer(inst, budget, target=None):
