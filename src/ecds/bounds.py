@@ -59,13 +59,20 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
+def _ip_ball(n: int, r: int) -> int:
+    """B(n, r), the query count of the inner-product bounds."""
+    if not 0 <= r <= n:
+        raise ParameterError("need 0 <= r <= n")
+    return ball_size(n, r)
+
+
 def ip_comm_lower_bound(n: int, r: int, beta) -> BoundReport:
     """Bits of one-way communication needed to compute x.y (weight(y)<=r)
     with success 1/2 + beta: log2 B(n,r) - 2 log2(1/(2 beta))."""
     beta = Fraction(beta)
     if not 0 < beta <= Fraction(1, 2):
         raise ParameterError("need 0 < beta <= 1/2")
-    b = ball_size(n, r)
+    b = _ip_ball(n, r)
     value = math.log2(b) - 2 * math.log2(1 / (2 * beta))
     return BoundReport(
         formula="ip-communication",
@@ -85,7 +92,7 @@ def ip_ds_lower_bound(n: int, r: int, eps, p: int) -> BoundReport:
         raise ParameterError("need 0 <= eps < 1/2")
     if p < 1:
         raise ParameterError("need p >= 1")
-    b = ball_size(n, r)
+    b = _ip_ball(n, r)
     gap = 1 - 2 * eps
     exponent = (math.log2(b) - 2 * math.log2(1 / gap) - 1) / p
     value = 0.5 * 2.0**exponent
@@ -137,7 +144,7 @@ def signed_ip_matrix(n: int, r: int) -> np.ndarray:
     ordered lexicographically by y."""
     if n > MATRIX_MAX_N:
         raise InfeasibleSizeError("sign matrix limited to n <= %d" % MATRIX_MAX_N)
-    cols = ball_size(n, r)
+    cols = _ip_ball(n, r)
     if cols > MATRIX_MAX_COLS:
         raise InfeasibleSizeError(
             "sign matrix limited to %d columns" % MATRIX_MAX_COLS
@@ -221,13 +228,8 @@ def discrepancy_verify(
     else:
         if samples < 1:
             raise ParameterError("need samples >= 1")
-        # drawn one rectangle at a time: these calls fix the report bytes
         rng = np.random.default_rng(derive_seed("discrepancy", seed, n, r))
-        va = np.empty((samples, rows), dtype=np.int64)
-        vb = np.empty((samples, cols), dtype=np.int64)
-        for k in range(samples):
-            va[k] = rng.integers(0, 2, size=rows, dtype=np.int64)
-            vb[k] = rng.integers(0, 2, size=cols, dtype=np.int64)
+        va, vb = np.hsplit(rng.integers(0, 2, size=(samples, rows + cols)), [rows])
         sums = ((va @ m) * vb).sum(axis=1)
         area = va.sum(axis=1) * vb.sum(axis=1)
     nonempty = area > 0

@@ -150,11 +150,7 @@ class HadamardIp(Scheme):
     def __init__(self, x: BitString):
         self.x = x
         self.code = HadamardCode(x.n)
-        self._codeword = Codeword(self.code.encode(x))
-
-    @property
-    def codeword(self) -> Codeword:
-        return self._codeword
+        self.codeword = Codeword(self.code.encode(x))
 
     def probe_budget(self, query) -> int:
         return 2
@@ -207,10 +203,7 @@ class MajorityAmplified(Scheme):
         self.inner = inner
         self.t = t
         self.name = inner.name + "-maj%d" % t
-
-    @property
-    def codeword(self) -> Codeword:
-        return self.inner.codeword
+        self.codeword = inner.codeword
 
     def probe_budget(self, query) -> int:
         return self.t * self.inner.probe_budget(query)
@@ -309,22 +302,21 @@ class RandomLinearCode:
             self.rows = [BitString.random(length, rng) for _ in range(s)]
         else:
             raise ParameterError("need an rng or explicit rows")
-        self._cols = self._column_masks()
+        # column j as an s-bit value, row 1 its most significant bit
+        bits = np.stack([row.to_bit_array() for row in self.rows]).astype(np.uint64)
+        shifts = np.arange(s - 1, -1, -1, dtype=np.uint64)[:, None]
+        self.columns = np.bitwise_or.reduce(bits << shifts, axis=0)
         self.dmin = self._min_distance()
 
-    def _column_masks(self) -> List[int]:
-        cols = [0] * self.length
-        for i, row in enumerate(self.rows):
-            bit = 1 << (self.s - 1 - i)
-            for j in row.support():
-                cols[j - 1] |= bit
-        return cols
-
     def _min_distance(self) -> int:
+        """The least codeword weight over the nonzero messages, about
+        64 * MC_BLOCK message-column pairs at a time."""
+        step = max(1, (MC_BLOCK << 6) // self.length)
         best = self.length
-        for v in range(1, 1 << self.s):
-            w = sum((col & v).bit_count() & 1 for col in self._cols)
-            best = min(best, w)
+        for lo in range(1, 1 << self.s, step):
+            v = np.arange(lo, min(lo + step, 1 << self.s), dtype=np.uint64)
+            weights = (np.bitwise_count(v[:, None] & self.columns) & 1).sum(axis=1)
+            best = min(best, int(weights.min()))
         return best
 
     @property
@@ -334,15 +326,12 @@ class RandomLinearCode:
     def encode(self, x: BitString) -> BitString:
         if x.n != self.s:
             raise ParameterError("message length mismatch")
-        out = BitString.zeros(self.length)
-        for i in x.support():
-            out = out ^ self.rows[i - 1]
-        return out
+        return BitString.from_bit_array(self.bit_of(x, np.arange(1, self.length + 1)))
 
     def bit_of(self, x: BitString, j):
-        """Bit j of x's codeword; j may be an array of positions."""
-        cols = np.asarray(self._cols, dtype=np.uint64)[np.asarray(j) - 1]
-        return np.bitwise_count(cols & np.uint64(x.value)) & 1
+        """Bit j of x's codeword, the parity of column j & x; j may be an
+        array of positions."""
+        return np.bitwise_count(self.columns[np.asarray(j) - 1] & np.uint64(x.value)) & 1
 
     def describe(self) -> Dict[str, object]:
         return {"kind": "random-linear", "s": self.s, "length": self.length}
@@ -366,7 +355,7 @@ class EqualityScheme(Scheme):
         if getattr(self.code, "s", x.n) != x.n:
             raise ParameterError("code message length does not match x")
         self.balanced = balanced
-        self._codeword = Codeword(self.code.encode(x))
+        self.codeword = Codeword(self.code.encode(x))
         self.name = "equality-balanced" if balanced else "equality-raw"
 
     def header(self) -> Dict[str, object]:
@@ -384,10 +373,6 @@ class EqualityScheme(Scheme):
             rows = [BitString.from01(r) for r in head["rows"]]
             code = RandomLinearCode(desc["s"], desc["length"], rows=rows)
         return cls(BitString.from01(head["x"]), code=code, balanced=head["balanced"])
-
-    @property
-    def codeword(self) -> Codeword:
-        return self._codeword
 
     @property
     def gamma(self) -> Fraction:

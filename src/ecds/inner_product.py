@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,7 +89,7 @@ class TableIp(LowWeightQueries):
         self.r = r
         self.p = p
         self.space = BoundedWeightSpace(x.n, math.ceil(r / p))
-        self._codeword = Codeword(self._build_table())
+        self.codeword = Codeword(self._build_table())
 
     def _build_table(self) -> BitString:
         """x.z for every z of the space, in rank order: the sum mod 2 of
@@ -102,10 +102,6 @@ class TableIp(LowWeightQueries):
             rows = self.space.unrank_rows(np.arange(lo, min(lo + MC_BLOCK, size)))
             bits[lo : lo + MC_BLOCK] = xbits[rows].sum(axis=1) & 1
         return BitString.from_bit_array(bits)
-
-    @property
-    def codeword(self) -> Codeword:
-        return self._codeword
 
     def probe_budget(self, query) -> int:
         return self.p
@@ -172,11 +168,7 @@ class SubstringHadamard(LowWeightQueries):
         padded = x.value << (r * self.chunk - x.n)
         mask = (1 << self.chunk) - 1
         chunks = [(padded >> ((r - 1 - k) * self.chunk)) & mask for k in range(r)]
-        self._codeword = Codeword(self.code.encode_blocks(chunks))
-
-    @property
-    def codeword(self) -> Codeword:
-        return self._codeword
+        self.codeword = Codeword(self.code.encode_blocks(chunks))
 
     def bit_location(self, i: int) -> Tuple[int, int]:
         """Piece index (1-based) and local bit index of message bit i."""
@@ -317,8 +309,9 @@ class PolySharedIp(LowWeightQueries):
     queries are padded with an unused subset's point, or the zero point
     when every subset is in use).  The point is split into p random XOR
     shares; expanding the polynomial in the shares yields monomials that
-    each miss at least one share, so every monomial can be assigned to a
-    block that tabulates its sum over the other p-1 shares.  The decoder
+    each miss at least one share.  Block j tabulates, over the other p-1
+    shares, those that miss share j and contain every share before it,
+    built by inclusion-exclusion from p_x itself.  The decoder
     reads one position per block and XORs; each block's read is uniform
     over that block under uniform shares.
     """
@@ -346,8 +339,7 @@ class PolySharedIp(LowWeightQueries):
         self.dummy: Optional[Tuple[int, ...]] = None
         if len(self.subsets) > x.n:
             self.dummy = self.subsets.pop()
-        self._tables = self._build_tables()
-        self._codeword = Codeword(BitString.from_bit_array(np.concatenate(self._tables)))
+        self.codeword = Codeword(BitString.from_bit_array(self._build_tables().ravel()))
 
     # variable (l, t) of the rm-bit point vector: copy l in 1..r, var t
     # in 1..m; bit (l-1)*m + t counted from the left (index 1 first).
@@ -371,51 +363,31 @@ class PolySharedIp(LowWeightQueries):
             v = (v << self.m) | c
         return v
 
-    def _monomials(self) -> List[List[Dict[Tuple[int, int], int]]]:
-        """Per-block monomial lists; a monomial maps (copy, var) -> share."""
-        parity: Dict[frozenset, int] = {}
-        for i in self.x.support():
-            s_i = self.subsets[i - 1]
-            for l in range(1, self.r + 1):
-                for shares in product(range(1, self.p + 1), repeat=self.d):
-                    mono = frozenset(
-                        (shares[k], l, s_i[k]) for k in range(self.d)
-                    )
-                    parity[mono] = parity.get(mono, 0) ^ 1
-        blocks: List[List[Dict[Tuple[int, int], int]]] = [[] for _ in range(self.p)]
-        for mono, live in parity.items():
-            if not live:
-                continue
-            present = {j for j, _, _ in mono}
-            j = min(set(range(1, self.p + 1)) - present)
-            blocks[j - 1].append({(l, t): jj for jj, l, t in mono})
-        return blocks
-
-    def _share_slot(self, block_j: int, share_j: int) -> int:
-        """Slot (0 = leftmost) of share share_j in block_j's address."""
-        others = [j for j in range(1, self.p + 1) if j != block_j]
-        return others.index(share_j)
-
-    def _build_tables(self) -> List[np.ndarray]:
+    def _build_tables(self) -> np.ndarray:
+        """The p block tables, uint8[p, block_length], MC_BLOCK addresses
+        at a time.  The monomials inside a share set A sum to p_x_copies
+        at the XOR of A's shares, so by inclusion-exclusion (signless
+        over GF(2)) block j is the XOR, over the subsets U of the shares
+        before j, of p_x_copies at the XOR of the shares outside {j} and
+        U.  Shares 1..j-1 fill the first j-1 slots of block j's address,
+        so block j+1 is block j XOR p_x_copies at each of block j's
+        points XORed with slot j."""
         rm = self.r * self.m
-        v = np.arange(self.block_length, dtype=np.uint64)
-        tables = []
-        for bj, monos in enumerate(self._monomials(), start=1):
-            table = np.zeros(self.block_length, dtype=np.uint8)
-            for mono in monos:
-                mask = 0
-                for (l, t), sj in mono.items():
-                    slot = self._share_slot(bj, sj)
-                    offset = slot * rm + (l - 1) * self.m + (t - 1)
-                    mask |= 1 << (self.exponent - 1 - offset)
-                mask = np.uint64(mask)
-                table ^= (v & mask) == mask
-            tables.append(table)
+        size = self.block_length
+        tables = np.empty((self.p, size), dtype=np.uint8)
+        for lo in range(0, size, MC_BLOCK):
+            addr = np.arange(lo, min(lo + MC_BLOCK, size), dtype=np.int64)
+            slots = [(addr >> (rm * k)) & ((1 << rm) - 1) for k in reversed(range(self.p - 1))]
+            points = [np.bitwise_xor.reduce(slots)]  # the XOR of all slots, U empty
+            bit = self.p_x_copies(points[0])
+            tables[0, lo : lo + MC_BLOCK] = bit
+            for j, slot in enumerate(slots, start=1):
+                fresh = [q ^ slot for q in points]
+                for q in fresh:
+                    bit = bit ^ self.p_x_copies(q)
+                points += fresh
+                tables[j, lo : lo + MC_BLOCK] = bit
         return tables
-
-    @property
-    def codeword(self) -> Codeword:
-        return self._codeword
 
     def probe_budget(self, query) -> int:
         return self.p
@@ -457,18 +429,19 @@ class PolySharedIp(LowWeightQueries):
         self.check_query(query)
         return dot_mod2(self.x, query)
 
-    # -- reference evaluators (used by identity checks) ----------------
+    # -- evaluators (the table builder and the identity checks) -------
 
-    def p_x(self, z: int) -> int:
-        """Evaluate p_x at an m-bit point value."""
+    def p_x(self, z):
+        """Evaluate p_x at an m-bit point value, an int or an int64 array."""
         out = 0
         for i in self.x.support():
             mask = self.chi(self.subsets[i - 1])
-            out ^= int(z & mask == mask)
+            out ^= z & mask == mask
         return out
 
-    def p_x_copies(self, point: int) -> int:
-        """Evaluate the r-copy XOR of p_x at an rm-bit point value."""
+    def p_x_copies(self, point):
+        """Evaluate the r-copy XOR of p_x at an rm-bit point value, an int
+        or an int64 array."""
         out = 0
         mmask = (1 << self.m) - 1
         for l in range(self.r):
@@ -476,8 +449,7 @@ class PolySharedIp(LowWeightQueries):
         return out
 
     def table_bit(self, block_j: int, shares: Sequence[int]) -> int:
-        pos = self.block_position(block_j, shares)
-        return int(self._tables[block_j - 1][(pos - 1) % self.block_length])
+        return self.codeword.bits.bit(self.block_position(block_j, shares))
 
     def params(self) -> Dict[str, object]:
         return {

@@ -162,6 +162,13 @@ class OneProbeMembership:
             raise ParameterError("index out of range")
         return tuple(int(v) + 1 for v in self._sets0[i - 1])
 
+    def header_sets(self) -> np.ndarray:
+        """Every P_i as 1-based positions, one row per index, in the
+        narrowest dtype that holds n' (the header writes them packed)."""
+        out = self._sets0.astype(np.min_scalar_type(self.n_prime))
+        out += 1
+        return out
+
     # -- construction --------------------------------------------------
 
     @classmethod
@@ -422,7 +429,7 @@ class MembershipInstance(IndexQueries):
         self.structure = structure
         self.x = x
         self.agreements = agreements
-        self._codeword = Codeword(y)
+        self.codeword = Codeword(y)
 
     def header(self) -> Dict[str, object]:
         st = self.structure
@@ -431,7 +438,7 @@ class MembershipInstance(IndexQueries):
             "s": st.s,
             "eps": st.eps,
             "n_prime": st.n_prime,
-            "probe_sets": st._sets0 + 1,
+            "probe_sets": st.header_sets(),
         }
 
     @classmethod
@@ -440,10 +447,6 @@ class MembershipInstance(IndexQueries):
             head["n"], head["s"], head["eps"], head["probe_sets"], head["n_prime"]
         )
         return st.instance(BitString.from01(head["x"]))
-
-    @property
-    def codeword(self) -> Codeword:
-        return self._codeword
 
     def probe_budget(self, query) -> int:
         return 1
@@ -670,7 +673,7 @@ class ComposedInstance(IndexQueries):
         self.x = x
         self.agreements = agreements
         self.decoder = decoder
-        self._codeword = codeword
+        self.codeword = codeword
         self.name = "membership-composed-" + decoder
 
     def header(self) -> Dict[str, object]:
@@ -684,7 +687,7 @@ class ComposedInstance(IndexQueries):
             "a": st.a,
             "b": st.b,
             "n_prime": st.base.n_prime,
-            "probe_sets": st.base._sets0 + 1,
+            "probe_sets": st.base.header_sets(),
             "perm": st.perm,
         }
 
@@ -695,10 +698,6 @@ class ComposedInstance(IndexQueries):
         )
         st = BlockCodedMembership(head["public_n"], base, head["perm"], head["a"])
         return st.instance(BitString.from01(head["x"]), decoder=head["decoder"])
-
-    @property
-    def codeword(self) -> Codeword:
-        return self._codeword
 
     def check_query(self, query: int) -> None:
         if not 1 <= query <= self.structure.public_n:

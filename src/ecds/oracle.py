@@ -223,7 +223,8 @@ class Scheme:
     slot, and a function from the bits read there to int64 answers;
     answer(query, value) converts one to the type truth(query) has.
 
-    A storable scheme also describes itself: `kind` tags its file header,
+    `codeword` is the stored word, set by each constructor.  A storable
+    scheme also describes itself: `kind` tags its file header,
     header()/from_header() carry the fields beyond kind and x (by default
     the constructor arguments after x, named in `header_fields`), queries
     are validated by check_query, read from text by parse_query and drawn
@@ -235,10 +236,7 @@ class Scheme:
     kind: Optional[str] = None
     header_fields: Tuple[str, ...] = ()
     attacks: Tuple[str, ...] = ()
-
-    @property
-    def codeword(self) -> Codeword:
-        raise NotImplementedError
+    codeword: Codeword
 
     def probe_budget(self, query) -> int:
         raise NotImplementedError

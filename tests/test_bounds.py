@@ -70,6 +70,20 @@ def test_comm_bound_frozen():
         ip_comm_lower_bound(4, 2, Fraction(3, 4))
 
 
+@pytest.mark.parametrize("r", [-1, 5, 9])
+def test_ip_bounds_refuse_radius_outside_length(r):
+    """A radius outside [0, n] is refused, not clamped into the ball or
+    left to a bare math domain error."""
+    with pytest.raises(ParameterError, match="need 0 <= r <= n"):
+        ip_ds_lower_bound(4, r, Fraction(1, 4), 1)
+    with pytest.raises(ParameterError, match="need 0 <= r <= n"):
+        ip_comm_lower_bound(4, r, Fraction(1, 4))
+    with pytest.raises(ParameterError, match="need 0 <= r <= n"):
+        signed_ip_matrix(4, r)
+    assert ip_ds_lower_bound(4, 0, 0, 1).inputs["ball"] == 1
+    assert ip_comm_lower_bound(4, 4, Fraction(1, 2)).value == pytest.approx(4.0)
+
+
 def test_noise_threshold_frozen():
     rep = one_probe_noise_threshold(0.01, 0.25)
     assert rep.value == pytest.approx(529.88028, abs=1e-4)

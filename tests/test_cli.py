@@ -96,6 +96,11 @@ def test_bounds_formula_flags_are_required(capsys, argv, flag):
     "argv",
     [
         "ip --n 4 --r 2 --eps 0.25 --p 0",
+        "ip --n 4 --r 9 --eps 0.25",
+        "ip --n 4 --r -1 --eps 0.25",
+        "ip-comm --n 4 --r 9 --beta 0.25",
+        "ip-comm --n 4 --r -1 --beta 0.25",
+        "discrepancy --n 3 --r 9",
         "discrepancy --n 4 --r 2 --samples 0",
         "discrepancy --n 4 --r 2 --samples -5",
     ],

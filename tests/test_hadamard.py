@@ -331,6 +331,24 @@ def test_random_linear_code_distance_and_gamma():
         )
 
 
+@pytest.mark.parametrize("s, length", [(1, 1), (1, 5), (2, 9), (3, 63), (4, 65), (5, 130)])
+def test_linear_code_matches_row_xor(s, length):
+    """The column formula gives the row-XOR encoding at every message,
+    bit_of reads the same bits, and dmin is the brute-force distance."""
+    rng = random.Random(s * 1000 + length)
+    for _ in range(3):
+        rows = [BitString.random(length, rng) for _ in range(s)]
+        code = RandomLinearCode(s, length, rows=rows)
+        assert code.dmin == brute_linear_dmin(rows)
+        for v in range(1 << s):
+            x = BitString.from_int(s, v)
+            want = BitString.zeros(length)
+            for i in x.support():
+                want = want ^ rows[i - 1]
+            assert code.encode(x) == want
+            assert code.bit_of(x, np.arange(1, length + 1)).tolist() == want.to_bit_array().tolist()
+
+
 def test_linear_code_encode_is_linear():
     rng = random.Random(23)
     code = RandomLinearCode(4, 20, rng=rng)

@@ -162,6 +162,60 @@ def test_poly_share_identity_exhaustive_p3():
         assert total == sch.p_x_copies(shares[0] ^ shares[1] ^ shares[2])
 
 
+def monomial_tables(sch):
+    """Reference block tables from the share expansion itself: every
+    monomial of p_x_copies in the shares, a set of (share, copy, var)
+    triples, goes to the block of the first share it misses and is
+    tabulated there as one mask over the block's address, the other
+    shares leftmost first."""
+    parity = {}
+    for i in sch.x.support():
+        s_i = sch.subsets[i - 1]
+        for l in range(1, sch.r + 1):
+            for shares in itertools.product(range(1, sch.p + 1), repeat=sch.d):
+                mono = frozenset((shares[k], l, s_i[k]) for k in range(sch.d))
+                parity[mono] = parity.get(mono, 0) ^ 1
+    rm = sch.r * sch.m
+    v = np.arange(sch.block_length, dtype=np.uint64)
+    tables = np.zeros((sch.p, sch.block_length), dtype=np.uint8)
+    for mono, live in parity.items():
+        if not live:
+            continue
+        j = min(set(range(1, sch.p + 1)) - {share for share, _, _ in mono})
+        others = [k for k in range(1, sch.p + 1) if k != j]
+        mask = 0
+        for share, l, t in mono:
+            offset = others.index(share) * rm + (l - 1) * sch.m + (t - 1)
+            mask |= 1 << (sch.exponent - 1 - offset)
+        mask = np.uint64(mask)
+        tables[j - 1] ^= (v & mask) == mask
+    return tables
+
+
+@pytest.mark.parametrize(
+    "n, r, p",
+    [(2, 1, 2), (5, 2, 2), (4, 1, 3), (3, 2, 3), (1, 1, 4), (2, 1, 4), (1, 1, 5)],
+)
+def test_poly_tables_match_monomial_expansion(n, r, p):
+    """The inclusion-exclusion tables store the same bytes as the
+    monomial-by-monomial expansion, for x = 0, all ones and random x."""
+    rng = random.Random(n * 100 + r * 10 + p)
+    for xv in (0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
+        sch = PolySharedIp(BitString.from_int(n, xv), r, p)
+        want = BitString.from_bit_array(monomial_tables(sch).ravel())
+        assert sch.codeword.bits == want, (n, r, p, xv)
+
+
+def test_poly_evaluators_take_arrays():
+    """p_x and p_x_copies agree elementwise on int64 arrays and ints."""
+    sch = PolySharedIp(BitString.from01("10110"), 2, 2)
+    points = np.arange(1 << (sch.r * sch.m), dtype=np.int64)
+    assert sch.p_x_copies(points).tolist() == [sch.p_x_copies(int(z)) for z in points]
+    assert sch.p_x(points % (1 << sch.m)).tolist() == [
+        sch.p_x(int(z) % (1 << sch.m)) for z in points
+    ]
+
+
 def test_poly_shares_xor_to_point():
     sch = PolySharedIp(BitString.from01("1101"), 2, 2)
     y = BitString.from01("0101")

@@ -154,6 +154,29 @@ def test_membership_arrays_are_packed_small(tmp_path):
     }
 
 
+def test_membership_headers_hand_over_narrow_sets(tmp_path, monkeypatch):
+    """Both membership headers give their probe sets in the narrowest
+    dtype that holds n', so saving makes no int64 copy, and the file is
+    byte for byte the one the int64 sets write."""
+    composed = BlockCodedMembership.build(16, 1, 0.4, a=5, b=40)
+    st = OneProbeMembership(2, 1, 0.4, [(1, 2), (299, 300)], 300)
+    cases = [
+        (composed.instance(BitString.from_indices(16, [3])), np.uint8),
+        (st.instance(BitString.from01("10")), np.uint16),
+    ]
+    path = tmp_path / "structure.ecds"
+    saved = []
+    for scheme, dtype in cases:
+        assert scheme.header()["probe_sets"].dtype == dtype
+        save_structure(str(path), scheme)
+        saved.append(path.read_bytes())
+    monkeypatch.setattr(OneProbeMembership, "header_sets", lambda self: self._sets0 + 1)
+    for (scheme, _), want in zip(cases, saved):
+        assert scheme.header()["probe_sets"].dtype == np.int64
+        save_structure(str(path), scheme)
+        assert path.read_bytes() == want
+
+
 def test_tampered_payload_is_rejected(tmp_path):
     path = str(tmp_path / "structure.ecds")
     save_structure(path, HadamardIp(BitString.from01("101")))
