@@ -339,6 +339,9 @@ class PolySharedIp(LowWeightQueries):
         self.dummy: Optional[Tuple[int, ...]] = None
         if len(self.subsets) > x.n:
             self.dummy = self.subsets.pop()
+        # p_x at every m-bit point, for p_x_copies
+        self._p_x_table = np.zeros(1 << self.m, dtype=np.uint8)
+        self._p_x_table[:] = self.p_x(np.arange(1 << self.m))
         self.codeword = Codeword(BitString.from_bit_array(self._build_tables().ravel()))
 
     # variable (l, t) of the rm-bit point vector: copy l in 1..r, var t
@@ -441,11 +444,11 @@ class PolySharedIp(LowWeightQueries):
 
     def p_x_copies(self, point):
         """Evaluate the r-copy XOR of p_x at an rm-bit point value, an int
-        or an int64 array."""
+        or an int64 array: one lookup of p_x's table per copy."""
         out = 0
         mmask = (1 << self.m) - 1
         for l in range(self.r):
-            out ^= self.p_x((point >> (self.m * (self.r - 1 - l))) & mmask)
+            out ^= self._p_x_table[(point >> (self.m * (self.r - 1 - l))) & mmask]
         return out
 
     def table_bit(self, block_j: int, shares: Sequence[int]) -> int:

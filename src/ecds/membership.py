@@ -137,18 +137,21 @@ class OneProbeMembership:
             arr = np.asarray(probe_sets).reshape(n, self.d)
             if arr.size and arr.dtype.kind not in "biu":  # floats, strings, objects
                 raise TypeError
-            arr = arr.astype(np.int64)
-            arr.sort(axis=1)
-            if (arr[:, 1:] == arr[:, :-1]).any():
-                raise ValueError
         except TypeError:
             raise ParameterError("probe-set positions must be integers") from None
-        except ValueError:  # ragged rows, or a position repeated within a row
+        except ValueError:  # ragged rows
             raise ParameterError("probe sets must be equal-size and duplicate-free") from None
+        # checked on the given values, before narrowing could wrap them
         if arr.size and (arr.min() < 1 or arr.max() > n_prime):
             raise ParameterError("probe-set positions out of range")
+        arr = arr.astype(np.min_scalar_type(n_prime))
+        arr.sort(axis=1)
+        if (arr[:, 1:] == arr[:, :-1]).any():
+            raise ParameterError("probe sets must be equal-size and duplicate-free")
         arr -= 1
-        self._sets0 = arr  # 0-based, each row ascending
+        # 0-based, each row ascending, in the narrowest dtype that holds n'
+        # (so header_sets' +1 cannot wrap); readers widen what they gather
+        self._sets0 = arr
         self.report = report
 
     # non-members' threshold as an exact integer count; float eps only enters here
@@ -165,9 +168,7 @@ class OneProbeMembership:
     def header_sets(self) -> np.ndarray:
         """Every P_i as 1-based positions, one row per index, in the
         narrowest dtype that holds n' (the header writes them packed)."""
-        out = self._sets0.astype(np.min_scalar_type(self.n_prime))
-        out += 1
-        return out
+        return self._sets0 + 1
 
     # -- construction --------------------------------------------------
 
@@ -196,7 +197,7 @@ class OneProbeMembership:
         last: Optional[VerificationReport] = None
         for attempt in range(retries):
             rng = np.random.default_rng(derive_seed("probe-sets", seed, attempt))
-            sets = np.empty((n, d), dtype=np.int64)
+            sets = np.empty((n, d), dtype=np.min_scalar_type(n_prime))
             for i in range(n):
                 sets[i] = rng.choice(n_prime, size=d, replace=False)
             sets += 1
@@ -250,7 +251,7 @@ class OneProbeMembership:
         position of a block's rows looks up the range of keys that hold
         it."""
         width = len(cols) + 1
-        keys = self._sets0[cols]
+        keys = self._sets0[cols].astype(np.int64)
         keys *= width
         keys += np.arange(len(cols))[:, None]
         keys = keys.ravel()
@@ -260,7 +261,7 @@ class OneProbeMembership:
         for lo in range(0, len(dom_idx), rows):
             block = slice(lo, lo + rows)
             size = len(dom_idx[block])
-            at = self._sets0[dom_idx[block]].ravel() * width
+            at = self._sets0[dom_idx[block]].astype(np.int64).ravel() * width
             first = np.searchsorted(keys, at)
             at += width
             counts = np.searchsorted(keys, at) - first
@@ -457,7 +458,7 @@ class MembershipInstance(IndexQueries):
     def plan(self, query: int, coins: np.ndarray):
         """Probe one uniformly random position of P_i."""
         self.check_query(query)
-        return (self.structure._sets0[query - 1] + 1)[coins[:, :1]], xor_all
+        return (self.structure._sets0[query - 1].astype(np.int64) + 1)[coins[:, :1]], xor_all
 
     def check_query(self, query: int) -> None:
         if not 1 <= query <= self.structure.n:

@@ -57,7 +57,7 @@ def _pack(obj) -> Dict[str, object]:
     return {
         "array": dtype.str,
         "shape": list(obj.shape),
-        "data": base64.b64encode(obj.astype(dtype, copy=False).tobytes()).decode("ascii"),
+        "data": base64.b64encode(np.ascontiguousarray(obj, dtype)).decode("ascii"),
     }
 
 

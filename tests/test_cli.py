@@ -653,6 +653,38 @@ def test_non_integer_membership_header_is_refused(tmp_path, capsys, scheme, fiel
     assert json.loads(err)["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize(
+    "position, packed",
+    [(4032 + 65536, False), (0, False), (-1, False), (4032 + 65536, True)],
+    ids=["wraps-to-top", "zero", "negative", "packed-u4"],
+)
+def test_probe_set_range_is_checked_before_narrowing(tmp_path, capsys, position, packed):
+    """A mem-composed file (n' = 4032, probe sets held as uint16) with a
+    position outside [1, n'] exits 3, also when narrowing to uint16
+    would have wrapped it onto the top position, and whether the header
+    lists it (version 1) or packs it as <u4."""
+    path = tmp_path / "m.ecds"
+    run_json(capsys, "build", "--scheme", "mem-composed", "--n", "8", "--s", "1", "--out-file", str(path))
+    line, payload = path.read_bytes().split(b"\n", 1)
+    head = json.loads(line)
+    assert head["n_prime"] == 4032
+    sets = unpacked(head["probe_sets"]).astype(np.int64)
+    row, col = np.argwhere(sets == 4032)[0]  # the top position, to keep the rows duplicate-free
+    sets[row, col] = position
+    if packed:
+        data = base64.b64encode(sets.astype("<u4").tobytes()).decode()
+        head["probe_sets"] = dict(head["probe_sets"], array="<u4", data=data)
+    else:
+        head["probe_sets"] = sets.tolist()
+        head["perm"] = unpacked(head["perm"]).tolist()
+        head["version"] = 1
+    path.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+    code, out, err = run(capsys, "decode", "--structure", str(path), "--query", "1")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+    assert "probe-set positions out of range" in json.loads(err)["message"]
+
+
 def unpacked(packed):
     """A packed header array, decoded independently of `ecds.storage`."""
     raw = base64.b64decode(packed["data"])

@@ -216,6 +216,28 @@ def test_poly_evaluators_take_arrays():
     ]
 
 
+@pytest.mark.parametrize(
+    "n, r, p",
+    [(3, 1, 2), (8, 2, 2), (5, 3, 2), (4, 1, 3), (6, 2, 3), (2, 1, 4), (5, 1, 4)],
+)
+def test_poly_lookup_matches_evaluator(n, r, p):
+    """p_x_copies reads a table of p_x over its 2^m points: the table is
+    p_x at every point, and p_x_copies is the XOR of p_x over the r
+    copies at every rm-bit point (4096 random ones past 2^12)."""
+    rng = random.Random(n * 100 + r * 10 + p)
+    for xv in (0, (1 << n) - 1, rng.getrandbits(n)):
+        sch = PolySharedIp(BitString.from_int(n, xv), r, p)
+        m = sch.m
+        assert sch._p_x_table.tolist() == [sch.p_x(z) for z in range(1 << m)]
+        rm = r * m
+        points = range(1 << rm) if rm <= 12 else [rng.getrandbits(rm) for _ in range(4096)]
+        want = [
+            sum(sch.p_x((z >> (m * (r - 1 - l))) & ((1 << m) - 1)) for l in range(r)) % 2
+            for z in points
+        ]
+        assert sch.p_x_copies(np.array(points, dtype=np.int64)).tolist() == want, (n, r, p, xv)
+
+
 def test_poly_shares_xor_to_point():
     sch = PolySharedIp(BitString.from01("1101"), 2, 2)
     y = BitString.from01("0101")

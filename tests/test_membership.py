@@ -108,6 +108,32 @@ def test_probe_set_rows_are_checked(sets, message):
     assert (st.probe_set(1), st.probe_set(2)) == ((1, 3, 5), (2, 7, 8))
 
 
+@pytest.mark.parametrize(
+    "n_prime, dtype",
+    [(255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)],
+)
+def test_probe_sets_are_held_at_the_width_of_their_values(n_prime, dtype):
+    """Probe sets are held in the narrowest dtype that holds n', so the
+    top position survives the +1 of header_sets; plan positions are
+    int64, equal to those of the int64 rows."""
+    rows = [(n_prime, 1, 2), (n_prime - 2, n_prime, n_prime - 1)]
+    st = OneProbeMembership(2, 1, 0.5, rows, n_prime)
+    assert st._sets0.dtype == dtype
+    head = st.header_sets()
+    assert head.dtype == dtype
+    assert head.tolist() == [sorted(row) for row in rows]
+    again = OneProbeMembership(2, 1, 0.5, head, n_prime)
+    assert np.array_equal(again._sets0, st._sets0) and again._sets0.dtype == dtype
+    inst = st.instance(BitString.from01("10"))
+    assert inst.codeword.bits.bit(n_prime) == 1
+    coins = np.arange(3)[:, None]
+    for i, row in enumerate(rows, start=1):
+        positions, _ = inst.plan(i, coins)
+        assert positions.dtype == np.int64
+        assert np.array_equal(positions, np.array(sorted(row), dtype=np.int64)[coins])
+        assert st.probe_set(i) == tuple(sorted(row))
+
+
 def test_hand_encoding_and_agreement():
     st = hand_structure()
     y, agreements = st.encode(BitString.from01("10"))
@@ -444,6 +470,20 @@ def test_composed_base_verify_memory():
     assert ver.checked_supports == ver.total_supports == 2081
     assert ver.violations == 0
     assert peak < 2 << 20
+
+
+def test_composed_build_memory():
+    """Building the composed structure (1280 probe sets of 288 in 4032
+    positions) allocates under 5 MiB at its peak: the probe sets are
+    drawn straight into uint16 and never held as int64."""
+    tracemalloc.start()
+    try:
+        st = BlockCodedMembership.build(64, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.base._sets0.dtype == np.uint16 and st.base._sets0.shape == (1280, 288)
+    assert peak < 5 << 20
 
 
 @pytest.mark.parametrize("n, s", [(1024, 1), (256, 2)])

@@ -170,7 +170,7 @@ def test_membership_headers_hand_over_narrow_sets(tmp_path, monkeypatch):
         assert scheme.header()["probe_sets"].dtype == dtype
         save_structure(str(path), scheme)
         saved.append(path.read_bytes())
-    monkeypatch.setattr(OneProbeMembership, "header_sets", lambda self: self._sets0 + 1)
+    monkeypatch.setattr(OneProbeMembership, "header_sets", lambda self: self._sets0.astype(np.int64) + 1)
     for (scheme, _), want in zip(cases, saved):
         assert scheme.header()["probe_sets"].dtype == np.int64
         save_structure(str(path), scheme)
