@@ -187,10 +187,13 @@ class OneProbeMembership:
     ) -> "OneProbeMembership":
         """Sample probe sets and verify; resample on failure, up to
         `retries` attempts, then give up with ConstructionError."""
+        if n < 1 or s < 1 or not 0 < eps < 1:
+            raise ParameterError("need n >= 1, s >= 1 and 0 < eps < 1")
         overridden = n_prime is not None or d is not None
-        dn_prime, dd = default_probe_params(n, s, eps)
-        n_prime = n_prime if n_prime is not None else dn_prime
-        d = d if d is not None else dd
+        if n_prime is None or d is None:  # the defaults also need n >= 2
+            dn_prime, dd = default_probe_params(n, s, eps)
+            n_prime = n_prime if n_prime is not None else dn_prime
+            d = d if d is not None else dd
         if d > n_prime:
             raise ParameterError("probe sets cannot exceed the vector length")
         dom = tuple(domain) if domain is not None else tuple(range(1, n + 1))
@@ -508,10 +511,11 @@ class BlockCodedMembership:
     """Probe-set membership whose vector is shuffled, cut into b blocks
     of a bits, and Hadamard-encoded block by block.
 
-    Public queries are indices 1..public_n, embedded as the first
-    public_n elements of a larger universe (the slack keeps probe sets
-    spread out).  Good blocks and good indices are determined by the
-    permutation alone, before any data is encoded.
+    Public queries are indices 1..public_n.  `build` draws one probe set
+    per public index; a base with more rows (files written when the base
+    was drawn over 20·public_n elements) is accepted, and only its first
+    public_n rows are read.  Good blocks and good indices are determined
+    by the permutation alone, before any data is encoded.
     """
 
     def __init__(
@@ -570,7 +574,6 @@ class BlockCodedMembership:
         eps: float = 0.25,
         a: int = 14,
         b: int = 288,
-        universe_factor: int = 20,
         seed: int = 0,
         perm_trials: int = 256,
         retries: int = OneProbeMembership.GRAPH_RETRIES,
@@ -580,15 +583,13 @@ class BlockCodedMembership:
             raise ParameterError("need a >= 1 and b >= 1")
         if a > MAX_EXPONENT:
             raise InfeasibleSizeError("block length 2^%d is beyond desk scale" % a)
-        universe = universe_factor * public_n
         base = OneProbeMembership.build(
-            universe,
+            public_n,
             s,
             eps,
             seed=seed,
             n_prime=a * b,
             d=b,
-            domain=range(1, public_n + 1),
             retries=retries,
             verify_limit=verify_limit,
         )
@@ -600,7 +601,7 @@ class BlockCodedMembership:
             if len(st.good_indices) >= threshold:
                 st.report = ComposedBuildReport(
                     public_n=public_n,
-                    universe=universe,
+                    universe=public_n,
                     s=s,
                     eps=eps,
                     a=a,
@@ -621,7 +622,8 @@ class BlockCodedMembership:
         )
 
     def embed(self, x: BitString) -> BitString:
-        """Public data as a subset of the first public_n universe elements."""
+        """Public data as a subset of the first public_n elements of the
+        base's universe (the whole of it for a base `build` draws)."""
         if x.n != self.public_n:
             raise ParameterError("data length does not match public domain")
         return BitString.from_int(self.base.n, x.value << (self.base.n - x.n))

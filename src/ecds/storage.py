@@ -139,10 +139,18 @@ def save_pattern(path: str, pattern: CorruptionPattern, n: int) -> None:
 
 
 def load_pattern(path: str) -> Tuple[CorruptionPattern, int]:
+    """A pattern file's positions and length; a file that repeats a
+    position, or whose weight is not its number of positions, is
+    refused."""
     with open(path, "rb") as fh:
         head = _parse_header(path, fh.read(), PATTERN_FORMAT)
     try:
-        return CorruptionPattern(head["positions"]), head["n"]
+        pattern = CorruptionPattern(head["positions"])
+        if pattern.weight != len(head["positions"]):
+            raise ParameterError("repeated positions")
+        if head["weight"] != pattern.weight:
+            raise ParameterError("weight %r but %d positions" % (head["weight"], pattern.weight))
+        return pattern, head["n"]
     except KeyError as exc:
         raise ParameterError("malformed file %s: no header field %s" % (path, exc)) from None
     except ParameterError as exc:

@@ -655,22 +655,22 @@ def test_non_integer_membership_header_is_refused(tmp_path, capsys, scheme, fiel
 
 @pytest.mark.parametrize(
     "position, packed",
-    [(4032 + 65536, False), (0, False), (-1, False), (4032 + 65536, True)],
-    ids=["wraps-to-top", "zero", "negative", "packed-u4"],
+    [("wrap", False), (0, False), (-1, False), ("wrap", True)],
+    ids=["wraps-onto-itself", "zero", "negative", "packed-u4"],
 )
 def test_probe_set_range_is_checked_before_narrowing(tmp_path, capsys, position, packed):
     """A mem-composed file (n' = 4032, probe sets held as uint16) with a
     position outside [1, n'] exits 3, also when narrowing to uint16
-    would have wrapped it onto the top position, and whether the header
-    lists it (version 1) or packs it as <u4."""
+    would have wrapped it back onto its own value (which keeps the row
+    duplicate-free), and whether the header lists it (version 1) or
+    packs it as <u4."""
     path = tmp_path / "m.ecds"
     run_json(capsys, "build", "--scheme", "mem-composed", "--n", "8", "--s", "1", "--out-file", str(path))
     line, payload = path.read_bytes().split(b"\n", 1)
     head = json.loads(line)
     assert head["n_prime"] == 4032
     sets = unpacked(head["probe_sets"]).astype(np.int64)
-    row, col = np.argwhere(sets == 4032)[0]  # the top position, to keep the rows duplicate-free
-    sets[row, col] = position
+    sets[0, 0] = sets[0, 0] + 65536 if position == "wrap" else position
     if packed:
         data = base64.b64encode(sets.astype("<u4").tobytes()).decode()
         head["probe_sets"] = dict(head["probe_sets"], array="<u4", data=data)
@@ -683,6 +683,23 @@ def test_probe_set_range_is_checked_before_narrowing(tmp_path, capsys, position,
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParameterError"
     assert "probe-set positions out of range" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "weight, positions",
+    [(1, [2, 5, 7]), (2, [2, 2])],
+    ids=["wrong-weight", "repeats"],
+)
+def test_inconsistent_pattern_file_exits_3(tmp_path, capsys, weight, positions):
+    """A pattern file whose weight is not its number of positions, or that
+    repeats a position, is refused, not decoded as the set of its
+    positions."""
+    st, pat = str(tmp_path / "h.ecds"), tmp_path / "p.json"
+    run_json(capsys, "build", "--scheme", "had-ip", "--n", "4", "--x", "1011", "--out-file", st)
+    pat.write_text(json.dumps({"format": "ecds-pattern", "n": 16, "weight": weight, "positions": positions}))
+    code, out, err = run(capsys, "decode", "--structure", st, "--query", "1000", "--pattern", str(pat))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
 
 
 def unpacked(packed):

@@ -7,6 +7,7 @@ block decoder, 0 under the direct decoder, and specific values once a
 single codeword bit is flipped.
 """
 
+import json
 import math
 import random
 import tracemalloc
@@ -18,6 +19,7 @@ import pytest
 
 from ecds import membership
 from ecds.bits import BitString, BoundedWeightSpace, ball_size
+from ecds.cli import main
 from ecds.errors import ConstructionError, ParameterError, VerificationError
 from ecds.membership import (
     BlockCodedMembership,
@@ -27,7 +29,8 @@ from ecds.membership import (
     default_probe_params,
 )
 from ecds.oracle import CorruptionPattern, corrupt, exact_error, probe_distribution
-from ecds.seeding import stream
+from ecds.seeding import derive_seed, stream
+from ecds.storage import save_structure
 
 
 def test_default_probe_params_frozen():
@@ -457,13 +460,13 @@ def test_verify_chunks_match_set_recount(monkeypatch, name, limit):
 
 
 def test_composed_base_verify_memory():
-    """Verifying the composed base structure (1280 probe sets of 288 in
-    4032 positions, domain 1..64) allocates under 2 MiB at its peak."""
+    """Verifying the composed base structure (64 probe sets of 288 in
+    4032 positions) allocates under 2 MiB at its peak."""
     base = BlockCodedMembership.build(64, 2, a=14, b=288).base
-    assert (base.n, base.n_prime, base.d) == (1280, 4032, 288)
+    assert (base.n, base.n_prime, base.d) == (64, 4032, 288)
     tracemalloc.start()
     try:
-        ver = base.verify(domain=range(1, 65))
+        ver = base.verify()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,8 +476,8 @@ def test_composed_base_verify_memory():
 
 
 def test_composed_build_memory():
-    """Building the composed structure (1280 probe sets of 288 in 4032
-    positions) allocates under 5 MiB at its peak: the probe sets are
+    """Building the composed structure (64 probe sets of 288 in 4032
+    positions) allocates under 2.5 MiB at its peak: the probe sets are
     drawn straight into uint16 and never held as int64."""
     tracemalloc.start()
     try:
@@ -482,8 +485,8 @@ def test_composed_build_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert st.base._sets0.dtype == np.uint16 and st.base._sets0.shape == (1280, 288)
-    assert peak < 5 << 20
+    assert st.base._sets0.dtype == np.uint16 and st.base._sets0.shape == (64, 288)
+    assert peak < 5 << 19
 
 
 @pytest.mark.parametrize("n, s", [(1024, 1), (256, 2)])
@@ -634,12 +637,12 @@ def toy_built():
 def test_built_composed_report():
     st = toy_built()
     rep = st.report
-    assert rep.universe == 320 and rep.n_prime == 200 and rep.d == 40
+    assert rep.universe == 16 and rep.n_prime == 200 and rep.d == 40
     assert rep.length == st.length == 40 * 32
     assert rep.good_count == len(st.good_indices)
     assert rep.good_count >= rep.good_threshold == 1
     d = rep.to_dict()
-    assert d["base_n"] == 320 and d["base_verification_violations"] == 0
+    assert d["base_n"] == 16 and d["base_verification_violations"] == 0
 
 
 def test_built_composed_member_error_formula():
@@ -687,6 +690,98 @@ def test_composed_build_reproducible():
     assert np.array_equal(a.perm, b.perm)
     assert np.array_equal(a.base._sets0, b.base._sets0)
     assert a.good_indices == b.good_indices
+
+
+def wide_composed(public_n, s, eps, a, b, seed):
+    """The composed structure over a base of 20·public_n elements,
+    verified on the public indices only, with `build`'s permutation
+    search: how `build` made it when the base had slack rows."""
+    base = OneProbeMembership.build(
+        20 * public_n, s, eps, seed=seed, n_prime=a * b, d=b, domain=range(1, public_n + 1)
+    )
+    for trial in range(256):
+        perm = np.random.default_rng(derive_seed("blocks", seed, trial)).permutation(a * b)
+        st = BlockCodedMembership(public_n, base, perm, a)
+        if len(st.good_indices) >= math.ceil(public_n / 20):
+            return st
+    raise AssertionError("no permutation in 256 trials")
+
+
+# (public_n, s, eps, a, b, seed); seed 60 of the first size, 14 and 13
+# of the others need 2, 3 and 4 verify attempts; one public index is a
+# base too small for default_probe_params, which both overrides skip
+WIDE_CASES = [
+    (1, 1, 0.4, 5, 40, 0),
+    (16, 1, 0.4, 5, 40, 3),
+    (16, 1, 0.4, 5, 40, 60),
+    (8, 2, 0.45, 6, 60, 14),
+    (20, 1, 0.35, 5, 48, 0),
+    (12, 1, 0.4, 4, 40, 13),
+]
+
+
+@pytest.mark.parametrize("case", WIDE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_build_matches_the_wide_base(case):
+    """Rows past public_n are independent draws that nothing reads, so
+    building the base over the public indices alone gives the same first
+    rows, verify attempts, permutation, good indices, codewords,
+    agreements and exact errors as the wide base."""
+    public_n, s, eps, a, b, seed = case
+    new = BlockCodedMembership.build(public_n, s, eps, a=a, b=b, seed=seed)
+    old = wide_composed(*case)
+    assert (new.base.n, old.base.n) == (public_n, 20 * public_n)
+    assert np.array_equal(new.base._sets0, old.base._sets0[:public_n])
+    assert new.report.base.attempts == old.base.report.attempts
+    assert new.report.base.verification == old.base.report.verification
+    assert np.array_equal(new.perm, old.perm)
+    assert new.good_indices == old.good_indices
+    good = new.good_indices
+    x = BitString.from_indices(public_n, random.Random(seed).sample(good, min(s, len(good))))
+    for decoder in ("block", "direct"):
+        new_inst, old_inst = new.instance(x, decoder), old.instance(x, decoder)
+        assert new_inst.codeword.bits == old_inst.codeword.bits
+        assert np.array_equal(new_inst.agreements, old_inst.agreements)
+        budget = CorruptionPattern.budget(0.05, new_inst.codeword.n)
+        flips = new_inst.block_killer(budget)
+        assert np.array_equal(flips, old_inst.block_killer(budget))
+        for pattern in (CorruptionPattern.empty(), CorruptionPattern(flips)):
+            for q in good:
+                assert exact_error(new_inst, q, pattern) == exact_error(old_inst, q, pattern)
+
+
+def test_wide_base_files_still_load(tmp_path, capsys):
+    """A mem-composed file whose base has 20·public_n rows loads, and
+    `decode` and `experiment` on it give the answers and wrong counts of
+    the file `build` now writes at the same seed."""
+    flags = ["--n", "16", "--s", "1", "--eps", "0.4", "--a", "5", "--b", "40"]
+    for seed in (3, 60):
+        old = wide_composed(16, 1, 0.4, 5, 40, seed)
+        x = BitString.from_indices(16, [old.good_indices[-1]])
+        old_path, new_path = str(tmp_path / "old.ecds"), str(tmp_path / "new.ecds")
+        save_structure(old_path, old.instance(x))
+        assert main(["build", "--scheme", "mem-composed", *flags, "--x", x.to01(),
+                     "--seed", str(seed), "--out-file", new_path]) == 0
+        head = json.loads(open(old_path, "rb").readline())
+        assert head["universe"] == 320 and head["probe_sets"]["shape"] == [320, 40]
+        capsys.readouterr()
+        outputs = []
+        for path in (old_path, new_path):
+            answers = []
+            for q in range(1, 17):
+                assert main(["decode", "--structure", path, "--query", str(q), "--seed", "1"]) == 0
+                answers.append(json.loads(capsys.readouterr().out)["answer"])
+            results = []
+            for adversary in ("block_killer", "random_flips"):
+                assert main(["experiment", "--structure", path, "--adversary", adversary,
+                             "--delta", "0.05", "--queries", "all", "--seed", "2"]) == 0
+                body = json.loads(capsys.readouterr().out)
+                results.append(body["results"])
+            outputs.append((answers, results, body["params"]))
+        (old_answers, old_results, old_params), (answers, results, params) = outputs
+        assert old_answers == answers and old_results == results
+        assert all(r["wrong"] is not None for rs in results for r in rs)
+        assert (old_params.pop("universe"), params.pop("universe")) == (320, 16)
+        assert old_params == params
 
 
 def test_embed_places_data_in_public_prefix():

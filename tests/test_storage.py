@@ -142,7 +142,7 @@ def test_membership_arrays_are_packed_small(tmp_path):
     save_structure(str(path), composed.instance(BitString.from_indices(16, [3])))
     head = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert head["probe_sets"]["array"] == "|u1"  # positions 1..200
-    assert head["probe_sets"]["shape"] == [320, 40]
+    assert head["probe_sets"]["shape"] == [16, 40]
     assert head["perm"]["array"] == "|u1"
     st = OneProbeMembership(2, 1, 0.4, [(1, 2), (299, 300)], 300)
     save_structure(str(path), st.instance(BitString.from01("10")))
@@ -213,6 +213,8 @@ def _without(head, key):
         "pattern-not-utf8",
         "pattern-no-field",
         "pattern-wrong-type",
+        "pattern-wrong-weight",
+        "pattern-repeats",
     ],
 )
 def test_malformed_files_are_refused(tmp_path, case):
@@ -232,6 +234,8 @@ def test_malformed_files_are_refused(tmp_path, case):
         "pattern-not-utf8": b"\xff" + json.dumps(pattern).encode(),
         "pattern-no-field": _without(pattern, "positions"),
         "pattern-wrong-type": json.dumps(dict(pattern, positions=2)).encode(),
+        "pattern-wrong-weight": json.dumps(dict(pattern, positions=[2, 5, 7])).encode(),
+        "pattern-repeats": json.dumps(dict(pattern, weight=2, positions=[2, 2])).encode(),
     }[case]
     path = str(tmp_path / "broken")
     open(path, "wb").write(broken)
@@ -241,11 +245,14 @@ def test_malformed_files_are_refused(tmp_path, case):
 
 
 def test_pattern_roundtrip(tmp_path):
+    """Every file save_pattern writes loads back, its weight matching its
+    positions."""
     path = str(tmp_path / "pattern.json")
-    pattern = CorruptionPattern([3, 9, 17])
-    save_pattern(path, pattern, 32)
-    back, n = load_pattern(path)
-    assert back == pattern and n == 32
+    for positions in ([3, 9, 17], [], [32], range(1, 33, 2)):
+        pattern = CorruptionPattern(positions)
+        save_pattern(path, pattern, 32)
+        back, n = load_pattern(path)
+        assert back == pattern and n == 32
 
 
 def test_report_csv_text():
