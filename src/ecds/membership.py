@@ -795,10 +795,10 @@ class ComposedInstance(IndexQueries):
         # every nonzero local mask inverts exactly half of its block
         budget = max(budget, 0)
         blocks = blocks[: -(-budget // (st.code.length // 2))]
-        flips = [
-            k * st.code.length + 1 + np.flatnonzero(st.code.encode_value(int(local_masks[k])))
-            for k in blocks
-        ]
+        flips = []
+        for k in blocks:
+            word = st.code.encode(BitString.from_int(st.a, int(local_masks[k])))
+            flips.append(k * st.code.length + 1 + np.flatnonzero(word.to_bit_array()))
         return np.concatenate([np.empty(0, dtype=np.int64), *flips])[:budget]
 
     def params(self) -> Dict[str, object]:

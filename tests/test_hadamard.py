@@ -9,6 +9,7 @@ pair-read count) are checked against the direct O(4^s) count.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,13 @@ def brute_encode(s, xv):
     return [bin(xv & z).count("1") % 2 for z in range(1 << s)]
 
 
+def encode_value(code, xv):
+    """The per-position definition of xv's codeword, as a 0/1 uint8
+    array: position z (0-based) holds parity(z & xv)."""
+    vals = np.arange(code.length, dtype=np.uint64)
+    return (np.bitwise_count(vals & np.uint64(xv)) & 1).astype(np.uint8)
+
+
 def test_encode_frozen_example():
     code = HadamardCode(2)
     assert code.encode(BitString.from01("10")).to01() == "0011"
@@ -54,18 +62,60 @@ def test_encode_matches_brute_force():
         code = HadamardCode(s)
         for xv in range(1 << s):
             expect = brute_encode(s, xv)
-            assert list(code.encode_value(xv)) == expect
+            assert list(encode_value(code, xv)) == expect
+            assert code.encode(BitString.from_int(s, xv)).to_bit_array().tolist() == expect
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_packed_encode_matches_parity_definition(s):
+    """The doubling encoder gives the per-position parity codeword and
+    the batch encoder's bytes for every message, and the pad bits of a
+    codeword shorter than a byte are zero."""
+    code = HadamardCode(s)
+    for v in range(code.length):
+        word = code.encode(BitString.from_int(s, v))
+        assert word == BitString.from_bit_array(encode_value(code, v))
+        assert word == code.encode_blocks([v])
+        assert word.n == code.length and len(word._data) == -(-code.length // 8)
+        if s < 3:
+            assert word._data[0] & (0xFF >> code.length) == 0
+
+
+@pytest.mark.parametrize("s", [14, 16, 18, 20])
+def test_packed_encode_matches_parity_definition_sampled(s):
+    code = HadamardCode(s)
+    rng = random.Random(s)
+    for v in [0, code.length - 1] + [rng.randrange(code.length) for _ in range(4)]:
+        word = code.encode(BitString.from_int(s, v))
+        assert word == BitString.from_bit_array(encode_value(code, v))
+        assert word == code.encode_blocks([v])
+
+
+@pytest.mark.parametrize("s", [22, 26])
+def test_hadamard_ip_encode_memory(s):
+    """Building HadamardIp allocates under three times its packed
+    codeword at its peak (512 KiB at s = 22, 8 MiB at s = 26): no array
+    with an entry per position is made."""
+    x = BitString.random(s, random.Random(s))
+    tracemalloc.start()
+    try:
+        inst = HadamardIp(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.codeword.bits._data) == (1 << s) // 8
+    assert peak < 3 * (1 << s) // 8
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 8, 11])
 def test_encode_blocks_matches_encode_value(s):
-    """The one-pass batch encoding concatenates one encode_value per
-    message, for codewords shorter than a byte as well."""
+    """The one-pass batch encoding concatenates the per-position parity
+    codeword of each message, for codewords shorter than a byte as well."""
     code = HadamardCode(s)
     values = np.random.default_rng(s).integers(code.length, size=7)
     values[:2] = (0, code.length - 1)
     got = code.encode_blocks(values)
-    expect = BitString.from_bit_array(np.concatenate([code.encode_value(int(v)) for v in values]))
+    expect = BitString.from_bit_array(np.concatenate([encode_value(code, int(v)) for v in values]))
     assert got == expect and got.n == 7 * code.length
     assert code.encode_blocks([]) == BitString.zeros(0)
     with pytest.raises(ParameterError):

@@ -356,6 +356,13 @@ def test_substring_geometry():
     assert sch.coin_count(y) == 64
 
 
+def parity_bits(s, v):
+    """v's length-2^s Hadamard codeword by its per-position definition:
+    position z (0-based) holds parity(z & v), as a 0/1 uint8 array."""
+    vals = np.arange(1 << s, dtype=np.uint64)
+    return (np.bitwise_count(vals & np.uint64(v)) & 1).astype(np.uint8)
+
+
 @pytest.mark.parametrize("n, r", [(1, 1), (5, 2), (5, 4), (7, 7), (12, 3), (40, 5), (70, 7)])
 def test_substring_codeword_is_per_chunk_encodings(n, r):
     """The one-call block encoding equals each chunk's own codeword in
@@ -365,7 +372,7 @@ def test_substring_codeword_is_per_chunk_encodings(n, r):
     sch = SubstringHadamard(x, r)
     c = sch.chunk
     padded = x.to01() + "0" * (r * c - n)
-    pieces = [sch.code.encode_value(int(padded[k * c : (k + 1) * c], 2)) for k in range(r)]
+    pieces = [parity_bits(c, int(padded[k * c : (k + 1) * c], 2)) for k in range(r)]
     assert sch.codeword.bits == BitString.from_bit_array(np.concatenate(pieces))
 
 

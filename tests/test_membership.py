@@ -538,10 +538,17 @@ def test_hand_composed_codeword():
     assert list(agreements) == [1.0, 1.0]
 
 
+def parity_bits(s, v):
+    """v's length-2^s Hadamard codeword by its per-position definition:
+    position z (0-based) holds parity(z & v), as a 0/1 uint8 array."""
+    vals = np.arange(1 << s, dtype=np.uint64)
+    return (np.bitwise_count(vals & np.uint64(v)) & 1).astype(np.uint8)
+
+
 @pytest.mark.parametrize("a", [1, 2, 3, 8, 14])
 def test_composed_codeword_matches_block_encoding(a):
     """Every data set's codeword is the shuffled union encoding cut into
-    a-bit blocks, each block's Hadamard encoding_value in turn, byte for
+    a-bit blocks, each block's per-position Hadamard codeword in turn, byte for
     byte, also where a block's codeword is shorter than a byte."""
     b = 6
     order = np.random.default_rng(a).permutation(a * b) + 1
@@ -555,7 +562,7 @@ def test_composed_codeword_matches_block_encoding(a):
         shuffled = np.zeros(a * b, dtype=np.uint8)
         shuffled[st.perm] = y.to_bit_array()
         blocks = [int("".join(map(str, shuffled[k * a : (k + 1) * a])), 2) for k in range(b)]
-        expect = np.concatenate([st.code.encode_value(value) for value in blocks])
+        expect = np.concatenate([parity_bits(a, value) for value in blocks])
         assert codeword.bits._data == BitString.from_bit_array(expect)._data
         assert codeword.bits.n == b << a
 

@@ -39,6 +39,22 @@ def test_roundtrip_hadamard_ip(tmp_path):
     roundtrip(tmp_path, HadamardIp(BitString.from01("10110")))
 
 
+def test_roundtrip_hadamard_at_s_20(tmp_path):
+    """had-ip and Hadamard equality files at s = 20 hold x's codeword by
+    its per-position definition (parity(z & x) at 0-based position z, 128
+    KiB packed); each loads back, re-encoded, and saves the same bytes."""
+    x = BitString.random(20, random.Random(20))
+    z = np.arange(1 << 20, dtype=np.uint64)
+    expect = np.packbits(np.bitwise_count(z & np.uint64(x.value)) & 1).tobytes()
+    path = tmp_path / "structure.ecds"
+    for scheme in (HadamardIp(x), EqualityScheme(x)):
+        back = roundtrip(tmp_path, scheme)
+        saved = path.read_bytes()
+        assert saved.split(b"\n", 1)[1] == expect
+        save_structure(str(path), back)
+        assert path.read_bytes() == saved
+
+
 def test_roundtrip_equality_variants(tmp_path):
     x = BitString.from01("1011")
     roundtrip(tmp_path, EqualityScheme(x))
