@@ -25,6 +25,22 @@ from .oracle import MC_BLOCK, Codeword, CorruptionPattern, Scheme, flip_mask, pa
 MAX_EXPONENT = 26
 
 
+def _codewords(s: int) -> List[int]:
+    """The length-2^s Hadamard codewords of every value v < 2^s, indexed
+    by v, as ints whose most significant bit is position 0: each step
+    doubles every word, appending a copy that is inverted for the values
+    whose next bit is set."""
+    words = [0]
+    for k in range(s):
+        half = 1 << k
+        words = [w << half | w ^ inv for inv in (0, (1 << half) - 1) for w in words]
+    return words
+
+
+# HadamardCode.encode starts from one of these, past eight doublings
+_HEADS = _codewords(8)
+
+
 class HadamardCode:
     """The [2^s, s] Hadamard code with 1-based positions.
 
@@ -72,14 +88,17 @@ class HadamardCode:
         Position z (0-based) holds parity(z & v), v = x.value, so the first
         2L positions are the first L followed by the same L, inverted when
         bit log2(L) of v is set.  The word is a Python int, position 0 its
-        most significant bit; a sub-byte codeword (s < 3) is shifted left
-        so that its pad bits are zero.  The peak is about 2.7 times the
-        2^s/8 packed bytes (the last step's word, inverted word and mask,
-        as ints that use 30 bits of every 32)."""
+        most significant bit, read from a table for the first 8 steps; a
+        sub-byte codeword (s < 3) is shifted left so that its pad bits are
+        zero.  The peak is about 2.7 times the 2^s/8 packed bytes (the
+        last step's word, inverted word and mask, as ints that use 30 bits
+        of every 32)."""
         if x.n != self.s:
             raise ParameterError("message length does not match s")
-        v, word = x.value, 0
-        for k in range(self.s):
+        v, k0 = x.value, min(self.s, 8)
+        # the first 2^k0 positions of v's codeword start its table entry
+        word = _HEADS[v & 0xFF] >> (256 - (1 << k0))
+        for k in range(k0, self.s):
             half = 1 << k
             word = (word << half) | word
             if v >> k & 1:
