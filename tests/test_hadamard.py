@@ -43,11 +43,11 @@ def brute_encode(s, xv):
     return [bin(xv & z).count("1") % 2 for z in range(1 << s)]
 
 
-def encode_value(code, xv):
-    """The per-position definition of xv's codeword, as a 0/1 uint8
-    array: position z (0-based) holds parity(z & xv)."""
-    vals = np.arange(code.length, dtype=np.uint64)
-    return (np.bitwise_count(vals & np.uint64(xv)) & 1).astype(np.uint8)
+def parity_bits(s, v):
+    """v's length-2^s Hadamard codeword by its per-position definition:
+    position z (0-based) holds parity(z & v), as a 0/1 uint8 array."""
+    vals = np.arange(1 << s, dtype=np.uint64)
+    return (np.bitwise_count(vals & np.uint64(v)) & 1).astype(np.uint8)
 
 
 def test_encode_frozen_example():
@@ -62,7 +62,7 @@ def test_encode_matches_brute_force():
         code = HadamardCode(s)
         for xv in range(1 << s):
             expect = brute_encode(s, xv)
-            assert list(encode_value(code, xv)) == expect
+            assert list(parity_bits(s, xv)) == expect
             assert code.encode(BitString.from_int(s, xv)).to_bit_array().tolist() == expect
 
 
@@ -74,7 +74,7 @@ def test_packed_encode_matches_parity_definition(s):
     code = HadamardCode(s)
     for v in range(code.length):
         word = code.encode(BitString.from_int(s, v))
-        assert word == BitString.from_bit_array(encode_value(code, v))
+        assert word == BitString.from_bit_array(parity_bits(s, v))
         assert word == code.encode_blocks([v])
         assert word.n == code.length and len(word._data) == -(-code.length // 8)
         if s < 3:
@@ -87,7 +87,7 @@ def test_packed_encode_matches_parity_definition_sampled(s):
     rng = random.Random(s)
     for v in [0, code.length - 1] + [rng.randrange(code.length) for _ in range(4)]:
         word = code.encode(BitString.from_int(s, v))
-        assert word == BitString.from_bit_array(encode_value(code, v))
+        assert word == BitString.from_bit_array(parity_bits(s, v))
         assert word == code.encode_blocks([v])
 
 
@@ -115,7 +115,7 @@ def test_encode_blocks_matches_encode_value(s):
     values = np.random.default_rng(s).integers(code.length, size=7)
     values[:2] = (0, code.length - 1)
     got = code.encode_blocks(values)
-    expect = BitString.from_bit_array(np.concatenate([encode_value(code, int(v)) for v in values]))
+    expect = BitString.from_bit_array(np.concatenate([parity_bits(s, int(v)) for v in values]))
     assert got == expect and got.n == 7 * code.length
     assert code.encode_blocks([]) == BitString.zeros(0)
     with pytest.raises(ParameterError):

@@ -548,8 +548,8 @@ def parity_bits(s, v):
 @pytest.mark.parametrize("a", [1, 2, 3, 8, 14])
 def test_composed_codeword_matches_block_encoding(a):
     """Every data set's codeword is the shuffled union encoding cut into
-    a-bit blocks, each block's per-position Hadamard codeword in turn, byte for
-    byte, also where a block's codeword is shorter than a byte."""
+    a-bit blocks, each block's per-position Hadamard codeword in turn,
+    byte for byte, also where a block's codeword is shorter than a byte."""
     b = 6
     order = np.random.default_rng(a).permutation(a * b) + 1
     d = a * b // 4
