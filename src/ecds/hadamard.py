@@ -5,14 +5,16 @@ The length-2^s Hadamard encoding of x lists x.y mod 2 for every y in
 {0,1}^s; position j holds the product with the y whose value is j-1.
 Reading positions z and z^y and XORing recovers x.y through any
 corruption that misses both probes, so the decoding error is at most
-twice the corrupted fraction, for every flip pattern.
+twice the corrupted fraction, for every flip pattern.  Every decoder
+that reads Hadamard pieces so (this inner product, substring extraction,
+composed membership) is a PairReadScheme, described by its reads alone.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,42 +132,61 @@ class HadamardCode:
         return {"kind": "hadamard", "s": self.s, "length": self.length}
 
 
-def pair_reads(base, z, y) -> np.ndarray:
-    """The 2-probe read of a Hadamard piece stored after position base:
-    offsets z and z xor y, whose bits XOR to x.y.  Arrays broadcast."""
-    return np.stack([base + z + 1, base + (z ^ y) + 1], axis=-1)
+class PairReads(NamedTuple):
+    """How a pair-read decoder answers one query.
+
+    The answer has w bits, the first most significant.  Each bit picks
+    one of its k reads uniformly, and takes the majority over t picks.
+    Read (i, j) XORs offsets z and z xor unit[i, j] of the length-`length`
+    Hadamard piece stored after 0-based position base[i, j].  With
+    `fallback`, each pick also draws a bit that answers where the unit
+    is 0; without, a unit-0 read reads z twice.  Coins have w*t digits,
+    bit by bit, then pick by pick, each below k * (2 if fallback else 1)
+    * length: the pick, the fallback bit, z.
+    """
+
+    base: np.ndarray  # int64[w, k]
+    unit: np.ndarray  # int64[w, k]
+    length: int
+    t: int = 1
+    fallback: bool = False
 
 
-def pair_read_counter(codeword: Codeword, pattern: CorruptionPattern, length: int):
+def pair_read_counter(codeword: Codeword, pattern: CorruptionPattern):
     """Exact wrong counts of pair reads under `pattern`, no offset enumerated.
 
-    Returns count(base, unit, truth), arrays broadcast: for the read of
-    offsets z and z xor unit in the length-`length` piece stored after
-    0-based position base (a multiple of length), how many of the
-    `length` offsets z XOR to something other than truth.
+    Returns count(base, unit, truth, length), int64 arrays, one entry a
+    read: for the read of offsets z and z xor unit in the length-`length`
+    piece stored after 0-based position base (a multiple of length), how
+    many of the `length` offsets z XOR to something other than truth.
 
     With F the piece's flips, an offset is hit exactly when one of its
     two probes is flipped, which happens on D = 2|{f in F : f^unit not
     in F}| offsets.  The clean read at any offset is the uncorrupted bit
     at unit, so the count is D where that bit equals truth and
     length - D where it does not.  The flips are sorted and masked once
-    per pattern; each read costs O(|F|).
+    per pattern; each read costs O(|F|).  Reads are counted in runs, by
+    the stretch of max(MC_BLOCK, |F|) gathered flips they start in, so
+    memory stays linear in |F| however many reads one call counts.
     """
     flips = pattern.array - 1  # 0-based, ascending
     flipped = flip_mask(pattern, codeword.n)
     clean = np.frombuffer(codeword.bits._data, dtype=np.uint8)
+    run = max(MC_BLOCK, len(flips))
 
-    def count(base, unit, truth) -> np.ndarray:
-        base, unit, truth = (
-            np.ravel(v).astype(np.int64) for v in np.broadcast_arrays(base, unit, truth)
-        )
+    def count(base, unit, truth, length) -> np.ndarray:
         lo = np.searchsorted(flips, base)
         sizes = np.searchsorted(flips, base + length) - lo
-        # the flips of every piece read, concatenated, with their read's index
-        owner = np.repeat(np.arange(len(base)), sizes)
-        f = flips[np.arange(len(owner)) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)]
-        lone = packed_bits(flipped, f ^ unit[owner]) == 0
-        hit = 2 * np.bincount(owner[lone], minlength=len(base))
+        starts = np.cumsum(sizes) - sizes
+        cuts = [0, *(np.flatnonzero(np.diff(starts // run)) + 1).tolist(), len(base)]
+        hit = np.empty(len(base), dtype=np.int64)
+        for a, b in zip(cuts, cuts[1:]):
+            # the flips of every piece the run reads, concatenated, with their read's index
+            owner = np.repeat(np.arange(b - a), sizes[a:b])
+            skip = lo[a:b] - (starts[a:b] - starts[a:b][:1])
+            f = flips[np.arange(len(owner)) + np.repeat(skip, sizes[a:b])]
+            lone = packed_bits(flipped, f ^ unit[a:b][owner]) == 0
+            hit[a:b] = 2 * np.bincount(owner[lone], minlength=b - a)
         return np.where(packed_bits(clean, base + unit) == truth, hit, length - hit)
 
     return count
@@ -175,8 +196,103 @@ def xor_all(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(bits, axis=1)
 
 
-class HadamardIp(Scheme):
-    """Encoded instance answering inner-product queries y -> x.y mod 2."""
+class PairReadScheme(Scheme):
+    """A decoder of Hadamard pieces read in pairs, described once: a
+    subclass implements reads(query), which checks the query and returns
+    its PairReads, and the probe budget, coin digits, probe plan and
+    exact wrong counts all follow from it."""
+
+    def reads(self, query) -> PairReads:
+        raise NotImplementedError
+
+    def probe_budget(self, query) -> int:
+        """Two probes per pick.  With no query, those of a one-bit answer
+        picked once, as every had-ip and composed membership answer is."""
+        if query is None:
+            return 2
+        r = self.reads(query)
+        return 2 * len(r.unit) * r.t
+
+    def coin_radices(self, query) -> Tuple[int, ...]:
+        r = self.reads(query)
+        (w, k), picks = r.unit.shape, 2 if r.fallback else 1
+        return (k * picks * r.length,) * (w * r.t)
+
+    def plan(self, query, coins: np.ndarray):
+        """Each digit's pick read at z and z xor its unit, or its fallback
+        bit; the answer packs each bit's majority over its t digits.  Work
+        the description makes trivial is skipped: the pick when k = 1
+        without fallback, the fallback if every pick reads, the vote if
+        w = t = 1."""
+        r = self.reads(query)
+        (w, k), t, length = r.unit.shape, r.t, r.length
+        z = coins.reshape(len(coins), w, t)
+        base, unit, read = r.base, r.unit, None
+        if k > 1 or r.fallback:
+            pick, z = np.divmod(z, (2 if r.fallback else 1) * length)
+            fb, z = np.divmod(z, length)
+            rows = np.arange(w)[:, None]
+            base, unit = base[rows, pick], unit[rows, pick]
+            if r.fallback and not r.unit.all():
+                read = unit > 0
+        positions = np.stack([base + z + 1, base + (z ^ unit) + 1], axis=-1)
+        if read is not None:
+            positions = np.where(read[..., None], positions, 0)
+        # answers past 62 bits are python integers
+        weights = np.array([1 << i for i in reversed(range(w))], dtype=np.int64 if w < 63 else object)
+
+        def combine(bits: np.ndarray) -> np.ndarray:
+            votes = bits[:, 0::2] ^ bits[:, 1::2]
+            if read is not None:
+                votes = np.where(read.reshape(len(bits), -1), votes, fb.reshape(len(bits), -1))
+            if w == t == 1:
+                return votes[:, 0]
+            majority = votes.reshape(len(bits), w, t).sum(axis=2) * 2 > t
+            return majority.astype(weights.dtype) @ weights
+
+        return positions.reshape(len(coins), 2 * w * t), combine
+
+    def wrong_counts(self, queries, pattern, limit: int) -> List[int]:
+        """Exact at every query from one pair-read count per read, all in
+        one count call, so `limit` never applies.  A pick of bit i is
+        wrong on W_i of its N = k * (2 if fallback else 1) * length values
+        (each read's count, per fallback bit, and `length` per read the
+        fallback bit answers); its majority is right on R_i = sum over
+        m > t/2 of C(t, m) (N - W_i)^m W_i^(t - m) of its N^t digit
+        tuples, and the bits' digits are independent, so N^(wt) - prod R_i
+        coins are wrong."""
+        # base, unit, truth and length of every read that reads, none at first
+        described, columns = [], [(np.empty(0, dtype=np.int64),) * 4]
+        for query in queries:
+            r, truth = self.reads(query), self.truth(query)
+            value = truth.value if isinstance(truth, BitString) else truth
+            bits = np.array([value >> i & 1 for i in reversed(range(len(r.unit)))], dtype=np.int64)
+            read = (r.unit > 0) | (not r.fallback)
+            truths = bits.repeat(read.shape[1])[read.ravel()]
+            columns.append((r.base[read], r.unit[read], truths, np.full(len(truths), r.length)))
+            described.append((r, read, len(truths)))
+        counted = pair_read_counter(self.codeword, pattern)(*map(np.concatenate, zip(*columns)))
+        out, start = [], 0
+        for r, read, size in described:
+            picks, (w, k) = 2 if r.fallback else 1, read.shape
+            wrong = np.full(read.shape, r.length, dtype=np.int64)
+            wrong[read] = picks * counted[start : start + size]
+            start += size
+            n, right = k * picks * r.length, 1
+            for bad in wrong.sum(axis=1).tolist():
+                votes = range((r.t + 1) // 2, r.t + 1)
+                right *= sum(math.comb(r.t, m) * (n - bad) ** m * bad ** (r.t - m) for m in votes)
+            out.append(n ** (w * r.t) - right)
+        return out
+
+
+_ORIGIN = np.zeros((1, 1), dtype=np.int64)  # the base of had-ip's one piece
+_ORIGIN.flags.writeable = False
+
+
+class HadamardIp(PairReadScheme):
+    """Encoded instance answering inner-product queries y -> x.y mod 2:
+    one read of the whole codeword, at unit y."""
 
     name = "hadamard-ip"
     kind = "hadamard-ip"
@@ -186,15 +302,9 @@ class HadamardIp(Scheme):
         self.code = HadamardCode(x.n)
         self.codeword = Codeword(self.code.encode(x))
 
-    def probe_budget(self, query) -> int:
-        return 2
-
-    def coin_radices(self, query) -> Tuple[int, ...]:
-        return (self.code.length,)
-
-    def plan(self, query: BitString, coins: np.ndarray):
+    def reads(self, query: BitString) -> PairReads:
         self.check_query(query)
-        return pair_reads(0, coins[:, 0], query.value), xor_all
+        return PairReads(_ORIGIN, np.array([[query.value]], dtype=np.int64), self.code.length)
 
     def truth(self, query: BitString) -> int:
         self.check_query(query)
@@ -202,20 +312,6 @@ class HadamardIp(Scheme):
 
     def queries(self):
         return (BitString.from_int(self.x.n, v) for v in range(self.code.length))
-
-    def wrong_counts(self, queries, pattern: CorruptionPattern, limit: int) -> List[int]:
-        """Exact at every query from the pair-read count (the whole code is
-        one piece, the unit is y), so `limit` never applies.  Queries are
-        counted together, up to about MC_BLOCK gathered flips per call:
-        O(|F|) time per query, memory linear in |F|."""
-        count = pair_read_counter(self.codeword, pattern, self.code.length)
-        reads = [(query.value, self.truth(query)) for query in queries]
-        step = max(1, MC_BLOCK // max(1, pattern.weight))
-        out: List[int] = []
-        for start in range(0, len(reads), step):
-            units, truths = zip(*reads[start : start + step])
-            out += count(0, units, truths).tolist()
-        return out
 
     def random_query(self, rng) -> BitString:
         return BitString.random(self.x.n, rng)
@@ -273,6 +369,7 @@ class MajorityAmplified(Scheme):
         """Exact wherever the inner scheme's wrong_counts is: the t runs
         use independent coins, so the majority is wrong with
         majority_error(inner error, t)."""
+        queries = list(queries)
         for query in queries:
             self.check_query(query)
         out: List[Optional[int]] = []

@@ -15,7 +15,6 @@ with 2 probes (times an odd repetition factor under majority voting).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,14 +29,7 @@ from .bits import (
     split_query,
 )
 from .errors import InfeasibleSizeError, ParameterError
-from .hadamard import (
-    MAX_EXPONENT,
-    HadamardCode,
-    majority_error,
-    pair_read_counter,
-    pair_reads,
-    xor_all,
-)
+from .hadamard import MAX_EXPONENT, HadamardCode, PairReads, PairReadScheme, xor_all
 from .oracle import MC_BLOCK, Codeword, Scheme
 
 
@@ -134,15 +126,16 @@ def substring_length(n: int, r: int) -> int:
     return r * (1 << math.ceil(n / r))
 
 
-class SubstringHadamard(LowWeightQueries):
+class SubstringHadamard(LowWeightQueries, PairReadScheme):
     """Answers x restricted to the one-positions of y, weight(y) <= r.
 
     x is cut into r chunks of c = ceil(n/r) bits (the last zero-padded)
     and each chunk is Hadamard-encoded.  A requested bit i lives in chunk
     (i-1)//c + 1 and is read with the 2-probe unit-query decode on that
-    piece, repeated t times under majority when t > 1.  Flipping a
-    quarter of one piece already drives two of its bits to error 1/2, so
-    per-bit guarantees die at delta = 1/(4r) no matter the repetition.
+    piece, repeated t times under majority when t > 1 (reads(): one read
+    per bit).  Flipping a quarter of one piece already drives two of its
+    bits to error 1/2, so per-bit guarantees die at delta = 1/(4r) no
+    matter the repetition.
     """
 
     name = "substring-hadamard"
@@ -182,41 +175,13 @@ class SubstringHadamard(LowWeightQueries):
             raise ParameterError("piece index out of range")
         return (k - 1) * self.piece_len
 
-    def probe_budget(self, query) -> int:
-        self.check_query(query)
-        return 2 * self.t * query.weight
-
-    def coin_radices(self, query) -> Tuple[int, ...]:
-        self.check_query(query)
-        return (self.piece_len,) * (self.t * query.weight)
-
-    def _reads(self, query: BitString) -> Tuple[np.ndarray, np.ndarray]:
-        """Per requested bit, first to last: the offset of its piece and
-        its unit vector there."""
+    def reads(self, query: BitString) -> PairReads:
+        """Per requested bit, first to last: its piece, at its unit vector."""
         self.check_query(query)
         locations = [self.bit_location(i) for i in query.support()]
         base = np.array([self.piece_offset(k) for k, _ in locations], dtype=np.int64)
         unit = np.array([1 << (self.chunk - e) for _, e in locations], dtype=np.int64)
-        return base, unit
-
-    def plan(self, query: BitString, coins: np.ndarray):
-        """For each requested bit i, t offsets z in its piece, each read
-        at z and z xor the unit vector of i; the answer packs the
-        majority bits, the first requested bit most significant."""
-        base, unit = self._reads(query)
-        w = query.weight
-        z = coins.reshape(len(coins), w, self.t)
-        positions = pair_reads(base[:, None], z, unit[:, None])
-        # answers past 62 bits are python integers
-        weights = np.array(
-            [1 << k for k in reversed(range(w))], dtype=np.int64 if w < 63 else object
-        )
-
-        def combine(bits: np.ndarray) -> np.ndarray:
-            votes = (bits[:, 0::2] ^ bits[:, 1::2]).reshape(len(bits), w, self.t).sum(axis=2)
-            return (votes * 2 > self.t).astype(weights.dtype) @ weights
-
-        return positions.reshape(len(coins), 2 * self.t * w), combine
+        return PairReads(base[:, None], unit[:, None], self.piece_len, self.t)
 
     def answer(self, query: BitString, value) -> BitString:
         return BitString.from_int(query.weight, int(value))
@@ -224,22 +189,6 @@ class SubstringHadamard(LowWeightQueries):
     def truth(self, query: BitString) -> BitString:
         self.check_query(query)
         return extract_substring(self.x, query)
-
-    def wrong_counts(self, queries, pattern, limit: int) -> List[int]:
-        """Exact at every query from one pair-read count per requested bit,
-        so `limit` never applies.  A bit whose read errs on a fraction p of
-        its offsets is wrong after the vote with majority_error(p, t), and
-        the bits use independent coins, so the answer is right with the
-        product of their chances."""
-        count = pair_read_counter(self.codeword, pattern, self.piece_len)
-        out = []
-        for query in queries:
-            base, unit = self._reads(query)
-            right = Fraction(1)
-            for wrong in count(base, unit, self.truth(query).to_bit_array()).tolist():
-                right *= 1 - majority_error(Fraction(wrong, self.piece_len), self.t)
-            out.append(int(self.coin_count(query) * (1 - right)))
-        return out
 
     def piece_killer(self, budget: int, target=None) -> List[int]:
         """Corrupt a quarter of one piece: all z with two chosen coordinates

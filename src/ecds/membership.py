@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
     ParameterError,
     VerificationError,
 )
-from .hadamard import MAX_EXPONENT, HadamardCode, pair_read_counter, pair_reads, xor_all
+from .hadamard import MAX_EXPONENT, HadamardCode, PairReads, PairReadScheme, xor_all
 from .oracle import Codeword, Scheme
 from .seeding import derive_seed
 
@@ -657,13 +657,13 @@ class BlockCodedMembership:
         }
 
 
-class ComposedInstance(IndexQueries):
+class ComposedInstance(IndexQueries, PairReadScheme):
     """Encoded composed structure; queries are public indices.
 
     decoder="block": pick a uniform block; when it holds exactly one
-    element of P_i, 2-probe decode that bit, else answer a coin from the
-    coin string.  decoder="direct": pick a uniform element of P_i and
-    2-probe decode it inside its block; no coin fallback.
+    element of P_i, 2-probe decode that bit, else answer the pick's
+    fallback coin bit.  decoder="direct": pick a uniform element of P_i
+    and 2-probe decode it inside its block.  reads() describes both.
     """
 
     kind = "membership-composed"
@@ -706,69 +706,21 @@ class ComposedInstance(IndexQueries):
         if not 1 <= query <= self.structure.public_n:
             raise ParameterError("query outside public domain")
 
-    def probe_budget(self, query) -> int:
-        return 2
-
-    def coin_radices(self, query) -> Tuple[int, ...]:
-        st = self.structure
-        if self.decoder == "block":
-            return (st.b * 2 * st.code.length,)
-        return (st.base.d * st.code.length,)
-
-    def _reads(self, query: int) -> Tuple[np.ndarray, np.ndarray]:
-        """What the coin's pick chooses among: each block (block decoder)
-        or each element of P_i (direct), as the block and the unit vector
-        of i's local bit in it; unit 0 marks a block not good for i,
-        where nothing is read."""
+    def reads(self, query: int) -> PairReads:
+        """What the pick chooses among: each block (block decoder) or
+        each element of P_i (direct), read at the unit vector of i's
+        local bit in its block.  The block decoder's unit is 0 in a
+        block not good for i, where the fallback bit answers."""
         self.check_query(query)
-        st = self.structure
+        st, length = self.structure, self.structure.code.length
         blocks, bit = st.placement(query)
         units = 1 << (st.a - 1 - bit)
         if self.decoder == "direct":
-            return blocks, units
+            return PairReads(blocks[None] * length, units[None], length)
         alone = st._alone[query - 1]
         local = np.zeros(st.b, dtype=np.int64)
         local[blocks[alone]] = units[alone]
-        return np.arange(st.b), local
-
-    def plan(self, query: int, coins: np.ndarray):
-        """The coin picks a block and a fallback bit fb (block decoder) or
-        an element of P_i (direct), and an offset z.  Local bit e of the
-        block is read at z and z xor unit(e); a block not good for i
-        answers fb."""
-        blocks, units = self._reads(query)
-        length = self.structure.code.length
-        if self.decoder == "block":
-            pick, rest = np.divmod(coins[:, 0], 2 * length)
-            fb, z = np.divmod(rest, length)
-        else:
-            pick, z = np.divmod(coins[:, 0], length)
-            fb = 0
-        unit = units[pick]
-        read = unit > 0
-        positions = np.where(read[:, None], pair_reads(blocks[pick] * length, z, unit), 0)
-
-        def combine(bits: np.ndarray) -> np.ndarray:
-            return np.where(read, bits[:, 0] ^ bits[:, 1], fb)
-
-        return positions, combine
-
-    def wrong_counts(self, queries, pattern, limit: int) -> List[int]:
-        """Exact at every query from one pair-read count per pick, so
-        `limit` never applies.  The block decoder takes each good block's
-        count twice (once per fallback bit) and, for a block not good for
-        i, the half of its 2L coins whose fallback bit is wrong."""
-        length = self.structure.code.length
-        count = pair_read_counter(self.codeword, pattern, length)
-        out = []
-        for query in queries:
-            blocks, units = self._reads(query)
-            read = units > 0
-            wrong = int(count(blocks[read] * length, units[read], self.truth(query)).sum())
-            if self.decoder == "block":
-                wrong = 2 * wrong + length * int(np.count_nonzero(~read))
-            out.append(wrong)
-        return out
+        return PairReads(np.arange(st.b)[None] * length, local[None], length, fallback=True)
 
     def queries(self):
         return iter(self.structure.good_indices)

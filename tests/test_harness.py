@@ -349,9 +349,13 @@ def test_sweep_records_failures_and_continues():
 
 
 def _frozen_case(name):
-    if name == "composed-block":
+    if name.startswith("composed-"):
         st = BlockCodedMembership.build(16, 1, eps=0.4, a=5, b=40, seed=0)
-        return st.instance(BitString.from_indices(16, [2]), decoder="block"), [1, 2], 200
+        decoder = name.split("-")[1]
+        return st.instance(BitString.from_indices(16, [2]), decoder=decoder), [1, 2], 200
+    if name == "had-ip":
+        sch = HadamardIp(BitString.from01("101101"))
+        return sch, [BitString.from01("011000"), BitString.from01("111111")], 6
     if name == "substring-t3":
         sch = SubstringHadamard(BitString.from01("10110100"), 4, t=3)
         return sch, [BitString.from01("11000000"), BitString.from01("00010001")], 4
@@ -369,6 +373,8 @@ def _frozen_case(name):
         ("substring-t3", [3759, 3783]),
         ("majority-t3", [812, 223]),
         ("equality-balanced", [2122, 1707]),
+        ("composed-direct", [1817, 1248]),
+        ("had-ip", [643, 946]),
     ],
 )
 def test_monte_carlo_streams_are_frozen(name, wrong):

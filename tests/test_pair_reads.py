@@ -1,14 +1,19 @@
 """Pair-read counts: every Hadamard pair-read decoder's wrong_counts
 equals the per-coin tally.
 
-Composed membership (both decoders), substring extraction, majority
-amplification and the 2-probe inner product count their wrong coins in
-closed form instead of enumerating them, which is what makes them exact
-past the enumeration limit.  On every query of small instances, under the
-empty pattern, random patterns and the killer patterns, each count must
-equal the tally of decoding every coin through the probe plan
-(count_wrong over coin_chunks; tests/test_plan.py ties that route to the
-scalar oracle).  exact_error past its limit must route to the same count.
+had-ip, substring extraction and composed membership (both decoders)
+each describe their decoder once, as the pair reads of a query
+(`PairReadScheme.reads`); the shared PairReadScheme derives the probe
+budget, the coin digits, the plan and the exact wrong counts from that
+description, counting the wrong coins in closed form instead of
+enumerating them, which is what makes them exact past the enumeration
+limit.  Majority amplification counts from its inner scheme's counts.
+On every query of small instances, under the empty pattern, random
+patterns and the killer patterns, each count must equal the tally of
+decoding every coin through the probe plan (count_wrong over
+coin_chunks; tests/test_plan.py ties that route to the scalar oracle),
+also when the queries come as a one-pass iterator.  exact_error past
+its limit must route to the same count.
 """
 
 import random
@@ -27,7 +32,7 @@ from ecds.errors import ParameterError
 from ecds.hadamard import HadamardIp, MajorityAmplified, pair_read_counter
 from ecds.harness import AdversaryStrategy, attack, estimate_error
 from ecds.inner_product import SubstringHadamard
-from ecds.membership import BlockCodedMembership, OneProbeMembership
+from ecds.membership import BlockCodedMembership, ComposedInstance, OneProbeMembership
 from ecds.oracle import CorruptionPattern, coin_chunks, corrupt, count_wrong, exact_error
 
 
@@ -92,6 +97,8 @@ def check_counts(scheme, queries, pattern):
     tally = coin_tally(scheme, queries, pattern)
     # limit 0: nothing may be enumerated, so the counts are the override's
     assert scheme.wrong_counts(queries, pattern, 0) == tally
+    # queries read once, as from a generator
+    assert scheme.wrong_counts(iter(queries), pattern, 0) == tally
     assert [exact_error(scheme, q, pattern, limit=0) for q in queries] == [
         Fraction(w, scheme.coin_count(q)) for q, w in zip(queries, tally)
     ]
@@ -127,6 +134,16 @@ def test_counts_match_coin_tally_killer_patterns(name, make, queries):
         check_counts(scheme, queries, pattern)
 
 
+@pytest.mark.parametrize("cls", [HadamardIp, SubstringHadamard, ComposedInstance])
+def test_pair_read_decoders_describe_only_their_reads(cls):
+    """Each pair-read decoder states its reads and nothing the reads
+    determine: budget, coin digits, plan and counts come from
+    PairReadScheme alone."""
+    assert "reads" in vars(cls)
+    derived = ("plan", "wrong_counts", "coin_radices", "probe_budget")
+    assert [name for name in derived if name in vars(cls)] == []
+
+
 def test_composed_non_members_read_colliding_bits():
     """The instances above exercise the clean-bit term: some non-member
     reads a good block whose bit is set by a member's probe set, so that
@@ -136,7 +153,7 @@ def test_composed_non_members_read_colliding_bits():
         length = inst.structure.code.length
         collisions = 0
         for q in range(1, 17):
-            blocks, units = inst._reads(q)
+            blocks, units = inst.reads(q).base[0] // length, inst.reads(q).unit[0]
             read = units > 0
             clean = [
                 inst.codeword.bits.bit(int(k * length + u + 1))
