@@ -145,13 +145,6 @@ def pick_queries(scheme, selector: str, seed: int) -> List:
     return out
 
 
-def _resolve_budget(args, length: int) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    delta = getattr(args, "delta", None) or 0.0
-    return CorruptionPattern.budget(delta, length)
-
-
 def _emit(args, payload: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -222,8 +215,12 @@ def cmd_decode(args) -> int:
 
 def cmd_attack(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if (args.delta is None) == (args.budget is None):
+        raise ParameterError("attack takes exactly one of --delta and --budget")
     scheme = load_structure(args.structure)
-    budget = _resolve_budget(args, scheme.codeword.n)
+    budget = args.budget
+    if args.delta is not None:
+        budget = CorruptionPattern.budget(args.delta, scheme.codeword.n)
     target = scheme.parse_query(args.target) if args.target else None
     strategy = AdversaryStrategy(
         kind=args.kind, budget=budget, seed=seed, target=target

@@ -3,13 +3,13 @@
 An attack turns a strategy into a concrete CorruptionPattern for a given
 scheme instance, never exceeding its flip budget; the greedy adversary
 climbs on the scheme's own Scheme.wrong_counts.  estimate_error then
-measures per-query decoding error under that pattern.  It is exact when
-the decoder's coin space has at most exact_limit (2^20) states, by
-enumerating them through the scheme's probe plan, and exact past that
-when the scheme's wrong_counts counts without enumerating (every
-Hadamard pair-read decoder does); otherwise it samples the plan by Monte
-Carlo with exact 99% Clopper-Pearson intervals.  exact_limit caps
-enumeration only.  Reports are deterministic functions of
+measures per-query decoding error under that pattern, counting every
+query through one wrong_counts call: exact wherever it counts (every
+Hadamard pair-read decoder does at any size, and the default enumerates
+the probe plan up to exact_limit, 2^20 coins), and sampled from the plan
+by Monte Carlo, with exact 99% Clopper-Pearson intervals, where it
+declines.  exact_limit caps enumeration only.  Reports keep their
+per-query results as columns, are deterministic functions of
 (parameters, seed) and serialize to canonical JSON and CSV; wall time is
 carried alongside but kept out of the canonical bytes.
 """
@@ -17,6 +17,7 @@ carried alongside but kept out of the canonical bytes.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,6 @@ from .oracle import (
     Scheme,
     corrupt,
     count_wrong,
-    exact_error,
 )
 from .seeding import stream
 
@@ -121,16 +121,17 @@ def attack(
 def _greedy_objective(scheme, queries, trials, seed):
     """Worst-over-queries error as a function of the pattern: exact from the
     scheme's wrong counts up to 4096 coins, else sampled over `trials`."""
+    coins = [scheme.coin_count(q) for q in queries]  # once, not per proposal
 
     def f(pattern: CorruptionPattern) -> float:
         worst = 0.0
         counts = scheme.wrong_counts(queries, pattern, 4096)
-        for qi, (q, wrong) in enumerate(zip(queries, counts)):
+        for qi, (q, wrong, count) in enumerate(zip(queries, counts, coins)):
             if wrong is None:
                 rng = stream("greedy-eval", seed, qi)
                 err = _sampled_wrong(scheme, q, pattern, trials, lambda _: rng) / trials
             else:
-                err = wrong / scheme.coin_count(q)
+                err = wrong / count
             worst = max(worst, err)
         return worst
 
@@ -218,8 +219,13 @@ class QueryResult:
         }
 
 
-@dataclass(frozen=True)
+# eq=False: the counts are an array, and reports compare by their bytes
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
+    """One measurement, its per-query results kept as columns: a caller
+    that keeps many reports keeps no per-result objects.  `results`
+    builds the QueryResult views on demand."""
+
     scheme: str
     params: Mapping[str, object]  # the scheme's, shared read-only
     length: int
@@ -229,9 +235,25 @@ class ExperimentReport:
     trials: int
     seed: int
     confidence: float
-    results: Tuple[QueryResult, ...]
+    labels: Tuple[str, ...]  # per query, interned
+    # per query: coins (exact) or trials (mc), wrong, pattern weight;
+    # int64, or Python ints where a count passes 2^63
+    counts: np.ndarray
+    intervals: Mapping[int, Tuple[float, float]]  # row -> interval, mc rows only
     worst_error: float
     wall_time: float = 0.0
+
+    @property
+    def results(self) -> Tuple[QueryResult, ...]:
+        out = []
+        rows = zip(self.labels, self.counts.tolist())
+        for i, (label, (trials, wrong, weight)) in enumerate(rows):
+            ci = self.intervals.get(i)
+            # exact without an interval: the error is then its own interval
+            lo, hi = (wrong / trials,) * 2 if ci is None else ci
+            mode = "exact" if ci is None else "mc"
+            out.append(QueryResult(label, mode, trials, wrong, lo, hi, weight))
+        return tuple(out)
 
     def canonical_dict(self) -> Dict[str, object]:
         """Everything except wall time, ready for stable serialization."""
@@ -282,48 +304,24 @@ def _sampled_wrong(scheme, query, pattern, trials, block_rng) -> int:
     return count_wrong(scheme, query, chunks(), corrupt(scheme.codeword, pattern))
 
 
-def _measure(scheme, queries, pattern, trials, seed, exact_limit, conf) -> List[QueryResult]:
-    """One result per query under one pattern: coins enumerated up to
-    exact_limit, past it counted by one wrong_counts call over those
-    queries, and sampled where that declines."""
-    coins = [scheme.coin_count(query) for query in queries]
-    above = [i for i, count in enumerate(coins) if count > exact_limit]
-    counted = {}
-    if above:
-        counts = scheme.wrong_counts([queries[i] for i in above], pattern, exact_limit)
-        counted = dict(zip(above, counts))
-    results = []
-    for i, (query, count) in enumerate(zip(queries, coins)):
-        label = scheme.query_label(query)
-        if count <= exact_limit:
-            wrong = int(exact_error(scheme, query, pattern, limit=exact_limit) * count)
-        else:
-            wrong = counted[i]
+def _measure(scheme, queries, pattern, trials, seed, exact_limit, conf) -> List[tuple]:
+    """One row per query under one pattern, (label, coins or trials, wrong,
+    pattern weight, interval): exact, with no interval, from one
+    wrong_counts call over the queries, and sampled where that declines."""
+    rows = []
+    for query, wrong in zip(queries, scheme.wrong_counts(queries, pattern, exact_limit)):
+        # interned: every report on this query holds the one label
+        label = sys.intern(scheme.query_label(query))
         if wrong is not None:
-            results.append(_result(label, count, wrong, pattern))
+            rows.append((label, scheme.coin_count(query), wrong, pattern.weight, None))
             continue
         # each block of MC_BLOCK trials draws from its own stream, seeded
         # from (seed, query, block index), so trial t's coins depend only on t
         wrong = _sampled_wrong(
             scheme, query, pattern, trials, lambda block: stream("mc", seed, label, block)
         )
-        results.append(_result(label, trials, wrong, pattern, clopper_pearson(wrong, trials, conf)))
-    return results
-
-
-def _result(label, trials, wrong, pattern, ci=None) -> QueryResult:
-    """Exact without an interval: the error is then its own interval."""
-    error = wrong / trials
-    lo, hi = (error, error) if ci is None else ci
-    return QueryResult(
-        query=label,
-        mode="exact" if ci is None else "mc",
-        trials=trials,
-        wrong=wrong,
-        ci_low=lo,
-        ci_high=hi,
-        pattern_weight=pattern.weight,
-    )
+        rows.append((label, trials, wrong, pattern.weight, clopper_pearson(wrong, trials, conf)))
+    return rows
 
 
 def estimate_error(
@@ -339,9 +337,9 @@ def estimate_error(
 
     Killers with no target are re-aimed at each measured query; every
     other strategy gives one pattern for all of them.  A query is exact
-    when its coins are at most exact_limit (enumerated) or the scheme's
-    wrong_counts counts them; only then does it fall back to `trials`
-    Monte Carlo draws.  exact_limit caps enumeration, not exactness.
+    where the scheme's wrong_counts, asked with exact_limit, counts it;
+    only where that declines does it fall back to `trials` Monte Carlo
+    draws.  exact_limit caps enumeration, not exactness.
     """
     if trials < 1:
         raise ParameterError("need trials >= 1")
@@ -355,13 +353,12 @@ def estimate_error(
     elif strategy.kind == "greedy_local":
         shared = _greedy_local(strategy, scheme, queries)
     if shared is not None:
-        results = _measure(scheme, queries, shared, trials, seed, exact_limit, confidence)
+        rows = _measure(scheme, queries, shared, trials, seed, exact_limit, confidence)
     else:
-        results = []
+        rows = []
         for query in queries:
             pattern = attack(strategy, scheme, query)
-            results += _measure(scheme, [query], pattern, trials, seed, exact_limit, confidence)
-    worst = max((r.error for r in results), default=0.0)
+            rows += _measure(scheme, [query], pattern, trials, seed, exact_limit, confidence)
     n = scheme.codeword.n
     return ExperimentReport(
         scheme=scheme.name,
@@ -373,10 +370,26 @@ def estimate_error(
         trials=trials,
         seed=seed,
         confidence=confidence,
-        results=tuple(results),
-        worst_error=worst,
+        labels=tuple(row[0] for row in rows),
+        counts=_count_columns([row[1:4] for row in rows]),
+        intervals={i: row[4] for i, row in enumerate(rows) if row[4] is not None},
+        worst_error=max((wrong / count for _, count, wrong, *_ in rows), default=0.0),
         wall_time=time.monotonic() - t0,
     )
+
+
+def _count_columns(rows) -> np.ndarray:
+    """Integer rows as one read-only [rows, 3] array: int64, or Python
+    ints (an object array) where a count does not fit.  No reshape: a
+    kept report would keep the view and its base."""
+    if not rows:
+        rows = np.empty((0, 3), dtype=np.int64)
+    try:
+        out = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        out = np.array(rows, dtype=object)
+    out.flags.writeable = False
+    return out
 
 
 def sweep(cells: Sequence[Dict], runner: Callable[[Dict], ExperimentReport]) -> List[Dict]:

@@ -275,9 +275,9 @@ class Scheme:
 
     def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[int]]:
         """Per query, how many coins decode wrongly under `pattern`, or None
-        where that means enumerating more than `limit` coins.  A scheme
-        that counts without enumerating overrides this; exact_error and
-        estimate_error then use it past their enumeration limit."""
+        where that means enumerating more than `limit` coins.  exact_error
+        and estimate_error ask it for every query; a scheme that counts
+        without enumerating overrides it, and is then exact at any size."""
         out: List[Optional[int]] = []
         word = None
         for query in queries:
@@ -427,14 +427,11 @@ def exact_error(
     pattern: CorruptionPattern,
     limit: int = EXACT_STATE_LIMIT,
 ) -> Fraction:
-    """Exact decoding error probability under `pattern`, over all coins:
-    by enumerating them up to `limit`, past it from the scheme's
-    wrong_counts, and EnumerationLimitError where that declines."""
+    """Exact decoding error probability under `pattern`, over all coins,
+    from the scheme's wrong_counts; EnumerationLimitError where that
+    declines, past `limit` coins."""
+    (wrong,) = scheme.wrong_counts([query], pattern, limit)
     count = scheme.coin_count(query)
-    if count > limit:
-        (wrong,) = scheme.wrong_counts([query], pattern, limit)
-        if wrong is not None:
-            return Fraction(wrong, count)
-    _check_enumerable(count, limit)
-    chunks = coin_chunks(scheme.coin_radices(query), count)
-    return Fraction(count_wrong(scheme, query, chunks, corrupt(scheme.codeword, pattern)), count)
+    if wrong is None:
+        _check_enumerable(count, limit)
+    return Fraction(wrong, count)

@@ -201,6 +201,22 @@ def test_attack_budget_from_delta(tmp_path, capsys):
     assert body["weight"] == 1
 
 
+@pytest.mark.parametrize(
+    "flags", [[], ["--delta", "0.1", "--budget", "3"]], ids=["neither", "both"]
+)
+def test_attack_needs_exactly_one_of_delta_and_budget(tmp_path, capsys, flags):
+    """Without a budget the attack would write an empty pattern, and with
+    both one would silently win: each exits 3 and writes no pattern."""
+    st, pat = str(tmp_path / "had.ecds"), tmp_path / "p.json"
+    run_json(capsys, "build", "--scheme", "had-ip", "--n", "4", "--x", "1011", "--out-file", st)
+    code, out, err = run(
+        capsys, "attack", "--structure", st, "--kind", "random_flips", *flags,
+        "--out-file", str(pat),
+    )
+    assert code == 3 and out == "" and not pat.exists()
+    assert json.loads(err)["error"] == "ParameterError"
+
+
 def test_build_membership_and_decode(tmp_path, capsys):
     st = str(tmp_path / "mem.ecds")
     body = run_json(
