@@ -20,7 +20,15 @@ import numpy as np
 
 from .bits import BitString, dot_mod2
 from .errors import InfeasibleSizeError, ParameterError
-from .oracle import MC_BLOCK, Codeword, CorruptionPattern, Scheme, flip_mask, packed_bits
+from .oracle import (
+    MC_BLOCK,
+    Codeword,
+    CorruptionPattern,
+    Scheme,
+    SwapCounts,
+    flip_mask,
+    packed_bits,
+)
 
 # 2^26 bits = 8 MiB packed, encoded with a peak of about 21 MiB in tens
 # of milliseconds; beyond that, refuse
@@ -181,12 +189,14 @@ def pair_read_counter(codeword: Codeword, pattern: CorruptionPattern):
         cuts = [0, *(np.flatnonzero(np.diff(starts // run)) + 1).tolist(), len(base)]
         hit = np.empty(len(base), dtype=np.int64)
         for a, b in zip(cuts, cuts[1:]):
-            # the flips of every piece the run reads, concatenated, with their read's index
-            owner = np.repeat(np.arange(b - a), sizes[a:b])
-            skip = lo[a:b] - (starts[a:b] - starts[a:b][:1])
-            f = flips[np.arange(len(owner)) + np.repeat(skip, sizes[a:b])]
-            lone = packed_bits(flipped, f ^ unit[a:b][owner]) == 0
-            hit[a:b] = 2 * np.bincount(owner[lone], minlength=b - a)
+            # the flips of every piece the run reads, concatenated; each
+            # read's start among them
+            size, first = sizes[a:b], starts[a:b] - starts[a:b][:1]
+            f = flips[np.arange(size.sum()) + np.repeat(lo[a:b] - first, size)]
+            # a running total of the flips whose partner f ^ unit is flipped too
+            paired = np.cumsum(packed_bits(flipped, f ^ np.repeat(unit[a:b], size)))
+            paired = np.concatenate(([0], paired))
+            hit[a:b] = 2 * (size - (paired[first + size] - paired[first]))
         return np.where(packed_bits(clean, base + unit) == truth, hit, length - hit)
 
     return count
@@ -252,38 +262,140 @@ class PairReadScheme(Scheme):
 
         return positions.reshape(len(coins), 2 * w * t), combine
 
-    def wrong_counts(self, queries, pattern, limit: int) -> List[int]:
-        """Exact at every query from one pair-read count per read, all in
-        one count call, so `limit` never applies.  A pick of bit i is
-        wrong on W_i of its N = k * (2 if fallback else 1) * length values
-        (each read's count, per fallback bit, and `length` per read the
-        fallback bit answers); its majority is right on R_i = sum over
-        m > t/2 of C(t, m) (N - W_i)^m W_i^(t - m) of its N^t digit
-        tuples, and the bits' digits are independent, so N^(wt) - prod R_i
-        coins are wrong."""
-        # base, unit, truth and length of every read that reads, none at first
-        described, columns = [], [(np.empty(0, dtype=np.int64),) * 4]
+    def read_table(self, queries) -> "ReadTable":
+        """The reads of every query, for one pair_read_counter count."""
+        described, bits, answers = [], [], []
         for query in queries:
             r, truth = self.reads(query), self.truth(query)
             value = truth.value if isinstance(truth, BitString) else truth
-            bits = np.array([value >> i & 1 for i in reversed(range(len(r.unit)))], dtype=np.int64)
-            read = (r.unit > 0) | (not r.fallback)
-            truths = bits.repeat(read.shape[1])[read.ravel()]
-            columns.append((r.base[read], r.unit[read], truths, np.full(len(truths), r.length)))
-            described.append((r, read, len(truths)))
-        counted = pair_read_counter(self.codeword, pattern)(*map(np.concatenate, zip(*columns)))
-        out, start = [], 0
-        for r, read, size in described:
-            picks, (w, k) = 2 if r.fallback else 1, read.shape
-            wrong = np.full(read.shape, r.length, dtype=np.int64)
-            wrong[read] = picks * counted[start : start + size]
-            start += size
-            n, right = k * picks * r.length, 1
-            for bad in wrong.sum(axis=1).tolist():
-                votes = range((r.t + 1) // 2, r.t + 1)
-                right *= sum(math.comb(r.t, m) * (n - bad) ** m * bad ** (r.t - m) for m in votes)
-            out.append(n ** (w * r.t) - right)
-        return out
+            (w, k), picks = r.unit.shape, 2 if r.fallback else 1
+            bits += [value >> i & 1 for i in reversed(range(w))]
+            answers.append((len(bits) - w, len(bits), k * picks * r.length, r.t))
+            described.append(r)
+        # each bit's piece length, fallback flag and number of reads
+        per_query = [(r.length, r.fallback, r.unit.shape[1]) for r in described]
+        per_bit = np.repeat(
+            np.array(per_query, dtype=np.int64).reshape(-1, 3), [len(r.unit) for r in described], axis=0
+        )
+        length, fallback, k = per_bit.T
+        # each read, in query, bit and read order
+        empty = np.empty(0, dtype=np.int64)
+        base = np.concatenate([empty, *(r.base.ravel() for r in described)])
+        unit = np.concatenate([empty, *(r.unit.ravel() for r in described)])
+        bit = np.repeat(np.arange(len(bits)), k)
+        read = (unit > 0) | (fallback[bit] == 0)
+        # the fallback bit is wrong on `length` of a non-reading read's 2 * length values
+        fixed = (np.bincount(bit[~read], minlength=len(bits)) * length).tolist()
+        bit = bit[read]
+        columns = (base[read], unit[read], np.array(bits, dtype=np.int64)[bit], length[bit])
+        return ReadTable(columns, bit, 1 + fallback[bit], fixed, answers)
+
+    def wrong_counts(self, queries, pattern, limit: int) -> List[int]:
+        """Exact at every query from one pair-read count per read, all in
+        one count call, so `limit` never applies."""
+        table = self.read_table(queries)
+        counted = pair_read_counter(self.codeword, pattern)(*table.columns)
+        bad = table.bad(counted)
+        return [majority_wrong(bad[lo:hi], n, t) for lo, hi, n, t in table.answers]
+
+    def swap_counts(self, queries, positions, limit: int) -> "PairSwapCounts":
+        return PairSwapCounts(self, queries, positions, limit)
+
+
+class ReadTable(NamedTuple):
+    """Every read of a batch of queries, the answer bits of all queries
+    numbered in one sequence.
+
+    `columns` are (base, unit, truth, length) of the reads that read, in
+    query, bit and read order; `bit` is the answer bit each serves, and
+    `weight` the values of its pick per offset (2 with a fallback bit,
+    else 1).  Per bit, `fixed` of its pick values are wrong whatever the
+    flips: `length` for each read whose unit is 0, which the fallback
+    bit answers.  Query q's answer is bits lo..hi - 1 of
+    `answers[q]` = (lo, hi, N, t), N values a pick.
+    """
+
+    columns: Tuple[np.ndarray, ...]
+    bit: np.ndarray
+    weight: np.ndarray
+    fixed: List[int]
+    answers: List[Tuple[int, int, int, int]]
+
+    def bad(self, counted: np.ndarray) -> List[int]:
+        """Per bit, the wrong pick values given each read's count."""
+        out = np.array(self.fixed, dtype=np.int64)
+        np.add.at(out, self.bit, self.weight * counted)
+        return out.tolist()
+
+
+def majority_wrong(bad: Sequence[int], n: int, t: int) -> int:
+    """Wrong coins of an answer whose bit i picks one of n values t times,
+    bad[i] of them wrong, and takes the majority.  Bit i's majority is
+    right on R_i = sum over m > t/2 of C(t, m) (n - bad[i])^m
+    bad[i]^(t - m) of its n^t digit tuples, and the bits' digits are
+    independent, so n^(wt) - prod R_i coins are wrong."""
+    right = 1
+    for b in bad:
+        right *= sum(math.comb(t, m) * (n - b) ** m * b ** (t - m) for m in range((t + 1) // 2, t + 1))
+    return n ** (len(bad) * t) - right
+
+
+class PairSwapCounts(SwapCounts):
+    """Running wrong counts of a pair-read decoder, a swap scored by the
+    reads it touches.
+
+    Each bit's wrong pick values are kept, from one pair_read_counter
+    count at the start.  A read of unit u has D lone-pair offsets: z
+    where exactly one of z, z xor u is flipped.  Toggling position p of
+    its piece changes D by +2 when p and p xor u were in the same state
+    before, and by -2 otherwise (by 0 when u = 0, as the read then reads
+    z twice); the read's wrong count moves by the same amount where its
+    clean read is right, and against it where it is wrong.  A swap
+    toggles the drop, then the add, and recombines only the queries whose
+    bits they touch.  Pieces are aligned to their length, a power of two,
+    so the partner of 0-based p is p xor u.
+    """
+
+    def _count(self) -> List[int]:
+        table = self.scheme.read_table(self.queries)
+        base, unit, truth, length = table.columns
+        counted = pair_read_counter(self.scheme.codeword, self.pattern())(*table.columns)
+        self.bad, self.answers = table.bad(counted), table.answers
+        clean = np.frombuffer(self.scheme.codeword.bits._data, dtype=np.uint8)
+        agree = packed_bits(clean, base + unit) == truth
+        self.units = unit.tolist()
+        self.signs = np.where(agree, table.weight, -table.weight).tolist()
+        self.bit_of = table.bit.tolist()
+        self.query_of = [q for q, (lo, hi, *_) in enumerate(self.answers) for _ in range(hi - lo)]
+        # the reads that a toggle can change, by piece
+        self.pieces: Dict[Tuple[int, int], List[int]] = {}
+        for i, (b, u, size) in enumerate(zip(base.tolist(), self.units, length.tolist())):
+            if u:
+                self.pieces.setdefault((size, b), []).append(i)
+        self.lengths = sorted({size for size, _ in self.pieces})
+        return [majority_wrong(self.bad[lo:hi], n, t) for lo, hi, n, t in self.answers]
+
+    def _score(self, drop: int, add: int) -> List[int]:
+        self._moved: Dict[int, int] = {}
+        for p, flipped in ((drop, True), (add, False)):
+            p0 = p - 1
+            for size in self.lengths:
+                for i in self.pieces.get((size, p0 - p0 % size), ()):
+                    partner = (p0 ^ self.units[i]) + 1
+                    same = flipped == (partner in self.flipped and partner != drop)
+                    bit = self.bit_of[i]
+                    self._moved[bit] = self._moved.get(bit, 0) + (2 if same else -2) * self.signs[i]
+        counts = list(self.counts)
+        for q in {self.query_of[bit] for bit in self._moved}:
+            lo, hi, n, t = self.answers[q]
+            bad = [self.bad[b] + self._moved.get(b, 0) for b in range(lo, hi)]
+            counts[q] = majority_wrong(bad, n, t)
+        return counts
+
+    def accept(self) -> None:
+        for bit, step in self._moved.items():
+            self.bad[bit] += step
+        super().accept()
 
 
 _ORIGIN = np.zeros((1, 1), dtype=np.int64)  # the base of had-ip's one piece

@@ -1,15 +1,20 @@
 """Adversary strategies and error measurement.
 
 An attack turns a strategy into a concrete CorruptionPattern for a given
-scheme instance, never exceeding its flip budget; the greedy adversary
-climbs on the scheme's own Scheme.wrong_counts.  estimate_error then
+scheme instance, never exceeding its flip budget.  The greedy adversary
+swaps one flip at a time and scores each swap with the scheme's
+Scheme.swap_counts, the queries' wrong_counts kept up to date: recounted
+by default, and changed only at the reads a swap touches for a Hadamard
+pair-read decoder.  estimate_error then
 measures per-query decoding error under that pattern, counting every
 query through one wrong_counts call: exact wherever it counts (every
 Hadamard pair-read decoder does at any size, and the default enumerates
 the probe plan up to exact_limit, 2^20 coins), and sampled from the plan
 by Monte Carlo, with exact 99% Clopper-Pearson intervals, where it
 declines.  exact_limit caps enumeration only.  Reports keep their
-per-query results as columns, are deterministic functions of
+per-query results as columns: counts in the narrowest unsigned type that
+holds them, and the query labels as one interned string shared by every
+report over the same queries.  They are deterministic functions of
 (parameters, seed) and serialize to canonical JSON and CSV; wall time is
 carried alongside but kept out of the canonical bytes.
 """
@@ -21,7 +26,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,17 +126,17 @@ def attack(
 
 
 def _greedy_objective(scheme, queries, trials, seed):
-    """Worst-over-queries error as a function of the pattern: exact from the
-    scheme's wrong counts up to 4096 coins, else sampled over `trials`."""
+    """Worst-over-queries error from the queries' wrong counts: exact
+    where counted, else sampled over `trials` from the pattern that
+    `pattern()` gives."""
     coins = [scheme.coin_count(q) for q in queries]  # once, not per proposal
 
-    def f(pattern: CorruptionPattern) -> float:
+    def f(counts, pattern) -> float:
         worst = 0.0
-        counts = scheme.wrong_counts(queries, pattern, 4096)
         for qi, (q, wrong, count) in enumerate(zip(queries, counts, coins)):
             if wrong is None:
                 rng = stream("greedy-eval", seed, qi)
-                err = _sampled_wrong(scheme, q, pattern, trials, lambda _: rng) / trials
+                err = _sampled_wrong(scheme, q, pattern(), trials, lambda _: rng) / trials
             else:
                 err = wrong / count
             worst = max(worst, err)
@@ -141,26 +148,27 @@ def _greedy_objective(scheme, queries, trials, seed):
 def _greedy_local(strategy, scheme, queries) -> CorruptionPattern:
     """Hill-climb flip positions to maximize the worst measured decoder
     error over `queries`, under a fixed evaluation budget; a heuristic
-    lower bound on adversarial power, not an optimum."""
+    lower bound on adversarial power, not an optimum.  Each proposal
+    swaps one flip for an unflipped position, scored by the scheme's
+    swap_counts (exact up to 4096 coins a query, else sampled)."""
     n = scheme.codeword.n
     rng = stream("attack-greedy", strategy.seed)
     objective = _greedy_objective(scheme, queries, strategy.eval_trials, strategy.seed)
     budget = min(strategy.budget, n)
-    current = set(rng.sample(range(1, n + 1), budget))
-    best = objective(CorruptionPattern(current))
+    flips = scheme.swap_counts(queries, rng.sample(range(1, n + 1), budget), 4096)
+    best = objective(flips.counts, flips.pattern)
     for _ in range(strategy.eval_proposals):
-        if not current or len(current) == n:
+        if not flips.positions or len(flips.positions) == n:
             break
-        drop = rng.choice(sorted(current))
+        drop = rng.choice(flips.positions)
         add = rng.randrange(1, n + 1)
-        if add in current:
+        if add in flips.flipped:
             continue
-        cand = (current - {drop}) | {add}
-        val = objective(CorruptionPattern(cand))
+        val = objective(flips.swap(drop, add), flips.pattern)
         if val > best:
             best = val
-            current = cand
-    return _emit(strategy, current)
+            flips.accept()
+    return _emit(strategy, flips.positions)
 
 
 # -- measurement ------------------------------------------------------
@@ -219,12 +227,16 @@ class QueryResult:
         }
 
 
+COUNT_COLUMNS = ("trials", "wrong", "weight")
+_NO_INTERVALS: Mapping[int, Tuple[float, float]] = MappingProxyType({})
+
+
 # eq=False: the counts are an array, and reports compare by their bytes
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ExperimentReport:
     """One measurement, its per-query results kept as columns: a caller
-    that keeps many reports keeps no per-result objects.  `results`
-    builds the QueryResult views on demand."""
+    that keeps many reports keeps no per-result objects.  `labels` and
+    the QueryResult views of `results` are built on demand."""
 
     scheme: str
     params: Mapping[str, object]  # the scheme's, shared read-only
@@ -235,13 +247,20 @@ class ExperimentReport:
     trials: int
     seed: int
     confidence: float
-    labels: Tuple[str, ...]  # per query, interned
-    # per query: coins (exact) or trials (mc), wrong, pattern weight;
-    # int64, or Python ints where a count passes 2^63
+    # the query labels, one a line, interned: reports over the same
+    # queries share one string
+    label_text: str
+    # per query, in the COUNT_COLUMNS: coins (exact) or trials (mc), wrong
+    # and pattern weight, each in the narrowest unsigned type that holds
+    # it, or Python ints past 2^64
     counts: np.ndarray
     intervals: Mapping[int, Tuple[float, float]]  # row -> interval, mc rows only
     worst_error: float
     wall_time: float = 0.0
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(self.label_text.split("\n")) if len(self.counts) else ()
 
     @property
     def results(self) -> Tuple[QueryResult, ...]:
@@ -310,8 +329,7 @@ def _measure(scheme, queries, pattern, trials, seed, exact_limit, conf) -> List[
     wrong_counts call over the queries, and sampled where that declines."""
     rows = []
     for query, wrong in zip(queries, scheme.wrong_counts(queries, pattern, exact_limit)):
-        # interned: every report on this query holds the one label
-        label = sys.intern(scheme.query_label(query))
+        label = scheme.query_label(query)
         if wrong is not None:
             rows.append((label, scheme.coin_count(query), wrong, pattern.weight, None))
             continue
@@ -370,26 +388,31 @@ def estimate_error(
         trials=trials,
         seed=seed,
         confidence=confidence,
-        labels=tuple(row[0] for row in rows),
+        label_text=sys.intern("\n".join(row[0] for row in rows)),
         counts=_count_columns([row[1:4] for row in rows]),
-        intervals={i: row[4] for i, row in enumerate(rows) if row[4] is not None},
+        # one shared empty mapping where every row is exact
+        intervals={i: row[4] for i, row in enumerate(rows) if row[4] is not None} or _NO_INTERVALS,
         worst_error=max((wrong / count for _, count, wrong, *_ in rows), default=0.0),
         wall_time=time.monotonic() - t0,
     )
 
 
 def _count_columns(rows) -> np.ndarray:
-    """Integer rows as one read-only [rows, 3] array: int64, or Python
-    ints (an object array) where a count does not fit.  No reshape: a
-    kept report would keep the view and its base."""
-    if not rows:
-        rows = np.empty((0, 3), dtype=np.int64)
-    try:
-        out = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        out = np.array(rows, dtype=object)
+    """Non-negative integer rows (coins or trials, wrong, pattern weight)
+    as one read-only structured array, each column in np.min_scalar_type
+    of its largest entry: an unsigned type, or Python ints (an object
+    column) past 2^64."""
+    columns = list(zip(*rows)) or [()] * 3
+    out = np.array(rows, dtype=_columns_dtype(*(np.min_scalar_type(max(col, default=0)) for col in columns)))
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def _columns_dtype(*types) -> np.dtype:
+    """One structured dtype per combination of column types, shared by
+    every report that uses it."""
+    return np.dtype(list(zip(COUNT_COLUMNS, types)))
 
 
 def sweep(cells: Sequence[Dict], runner: Callable[[Dict], ExperimentReport]) -> List[Dict]:

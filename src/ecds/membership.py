@@ -44,7 +44,7 @@ from .errors import (
     VerificationError,
 )
 from .hadamard import MAX_EXPONENT, HadamardCode, PairReads, PairReadScheme, xor_all
-from .oracle import Codeword, Scheme
+from .oracle import Codeword, Scheme, packed_bits
 from .seeding import derive_seed
 
 # bytes that one chunk of supports in `OneProbeMembership.verify` may take
@@ -734,14 +734,23 @@ class ComposedInstance(IndexQueries, PairReadScheme):
     def block_killer(self, budget: int, target=None) -> np.ndarray:
         """Flip the inner-code positions that invert the target index's
         bits (the first good index by default), block by block, heaviest
-        blocks first."""
+        blocks first, in the blocks its decoder reads: every block that
+        holds elements of P_i for the direct decoder; for the block
+        decoder only the good blocks whose clean read is still right, as
+        it answers a coin elsewhere and inverting a wrong read helps it."""
         st = self.structure
         if target is None:
             target = st.good_indices[0] if st.good_indices else 1
         held, bit = st.placement(target)
+        units = 1 << (st.a - 1 - bit)
+        if self.decoder == "block":
+            clean = np.frombuffer(self.codeword.bits._data, dtype=np.uint8)
+            right = packed_bits(clean, held * st.code.length + units) == self.truth(target)
+            keep = st._alone[target - 1] & right
+            held, units = held[keep], units[keep]
         counts = np.bincount(held, minlength=st.b)
         local_masks = np.zeros(st.b, dtype=np.int64)
-        np.bitwise_or.at(local_masks, held, 1 << (st.a - 1 - bit))
+        np.bitwise_or.at(local_masks, held, units)
         blocks = np.flatnonzero(counts)
         blocks = blocks[np.argsort(-counts[blocks], kind="stable")]
         # every nonzero local mask inverts exactly half of its block

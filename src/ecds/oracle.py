@@ -9,6 +9,7 @@ budget; measurement reads batches of coins from the served word.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,12 +130,11 @@ def _position_array(flips) -> np.ndarray:
         arr = np.empty(0, dtype=np.int64)
     elif arr.ndim != 1 or arr.dtype.kind not in "biu" or (arr.dtype.kind == "u" and arr.max() >> 63):
         raise ParameterError("positions are integers >= 1")
-    arr = np.sort(arr.astype(np.int64))
+    arr = arr.astype(np.int64)
+    if not (arr[1:] > arr[:-1]).all():  # sorted once, only if not ascending already
+        arr = np.unique(arr)
     if len(arr) and arr[0] < 1:
         raise ParameterError("positions are integers >= 1")
-    distinct = arr[1:] != arr[:-1]
-    if not distinct.all():
-        arr = arr[np.concatenate(([True], distinct))]
     arr.flags.writeable = False
     return arr
 
@@ -146,7 +146,10 @@ def flip_mask(pattern: CorruptionPattern, n: int) -> np.ndarray:
         raise ParameterError("flip position beyond codeword length")
     j = pattern.array - 1
     mask = np.zeros((n + 7) // 8, dtype=np.uint8)
-    np.bitwise_or.at(mask, j >> 3, (0x80 >> (j & 7)).astype(np.uint8))
+    # the positions ascend, so each byte's bits are one run to OR together
+    byte = j >> 3
+    starts = np.flatnonzero(np.diff(byte, prepend=-1))
+    mask[byte[starts]] = np.bitwise_or.reduceat((0x80 >> (j & 7)).astype(np.uint8), starts)
     return mask
 
 
@@ -290,6 +293,12 @@ class Scheme:
             out.append(count_wrong(self, query, coin_chunks(self.coin_radices(query), count), word))
         return out
 
+    def swap_counts(self, queries, positions, limit: int) -> "SwapCounts":
+        """wrong_counts of `queries` kept up to date while a hill climb
+        swaps one flip at a time, starting from the flips at `positions`;
+        a scheme that can score a swap by what it touches overrides it."""
+        return SwapCounts(self, queries, positions, limit)
+
     def queries(self):
         """Every query this scheme answers, in a fixed order."""
         raise ParameterError(
@@ -343,6 +352,57 @@ class Scheme:
         if isinstance(query, BitString):
             return query.to01()
         return str(query)
+
+
+class SwapCounts:
+    """Per-query wrong counts under a flip set that changes one swap at a
+    time, as Scheme.swap_counts starts it.
+
+    `positions` holds the current flips ascending, beside the set
+    `flipped`, and `counts` their wrong_counts(queries, pattern, limit)
+    entries, None where that declines.  swap(drop, add) returns the
+    counts with flip `drop` cleared and the unflipped position `add`
+    set, and accept() makes that swap current; a swap not accepted
+    changes nothing.  pattern() is the pattern of the last swap
+    proposed, or of the current flips before any.  This default
+    recounts every swap through wrong_counts.
+    """
+
+    def __init__(self, scheme: "Scheme", queries, positions: Iterable[int], limit: int):
+        self.scheme, self.queries, self.limit = scheme, list(queries), limit
+        self.positions = sorted(positions)
+        self.flipped = set(self.positions)
+        self._swap: Optional[Tuple[int, int]] = None
+        self._pattern: Optional[CorruptionPattern] = None
+        self.counts = self._next = self._count()
+
+    def _count(self) -> List[Optional[int]]:
+        return self.scheme.wrong_counts(self.queries, self.pattern(), self.limit)
+
+    def pattern(self) -> CorruptionPattern:
+        if self._pattern is None:
+            if self._swap is None:
+                self._pattern = CorruptionPattern(self.positions)
+            else:
+                drop, add = self._swap
+                self._pattern = CorruptionPattern((self.flipped - {drop}) | {add})
+        return self._pattern
+
+    def swap(self, drop: int, add: int) -> List[Optional[int]]:
+        self._swap, self._pattern = (drop, add), None
+        self._next = self._score(drop, add)
+        return self._next
+
+    def _score(self, drop: int, add: int) -> List[Optional[int]]:
+        return self._count()
+
+    def accept(self) -> None:
+        drop, add = self._swap
+        del self.positions[bisect_left(self.positions, drop)]
+        insort(self.positions, add)
+        self.flipped.remove(drop)
+        self.flipped.add(add)
+        self.counts, self._swap = self._next, None
 
 
 @dataclass(frozen=True)

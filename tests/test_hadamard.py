@@ -278,8 +278,9 @@ def test_pairwise_error_counts_identities_at_largest_size():
     fraction=st.floats(0.0, 1.0),
 )
 def test_greedy_objective_matches_oracle_route(s, seed, fraction):
-    """The pair-read counts the greedy adversary climbs on equal the coin
-    enumeration through the plan, query by query."""
+    """The pair-read counts the greedy adversary climbs on, at the start
+    and after a swap, equal the coin enumeration through the plan and the
+    direct count, query by query."""
     rng = random.Random(seed)
     n = 1 << s
     sch = HadamardIp(BitString.random(s, rng))
@@ -288,7 +289,17 @@ def test_greedy_objective_matches_oracle_route(s, seed, fraction):
     counts = sch.wrong_counts(queries, pattern, limit=0)
     assert counts == [exact_error(sch, y, pattern) * n for y in queries]
     objective = _greedy_objective(sch, queries, 0, 0)
-    assert objective(pattern) == max(counts) / n
+    flips = sch.swap_counts(queries, pattern.positions, 0)
+    assert flips.counts == counts
+    assert objective(flips.counts, flips.pattern) == max(counts) / n
+    if 0 < pattern.weight < n:
+        drop = rng.choice(pattern.positions)
+        add = rng.choice([j for j in range(1, n + 1) if j not in pattern])
+        swapped = CorruptionPattern((pattern.flips - {drop}) | {add})
+        direct = quadratic_error_counts(s, swapped).tolist()
+        assert flips.swap(drop, add) == direct
+        assert flips.pattern() == swapped
+        assert objective(direct, flips.pattern) == max(direct) / n
 
 
 def test_error_at_most_twice_flip_fraction():

@@ -835,22 +835,37 @@ def test_composed_placement_matches_per_index_divmod(make):
         assert 0 < len(good) < st.public_n
 
 
+def killed_blocks(inst, target):
+    """The blocks block_killer attacks, as block -> local mask of the
+    target's probe-set elements there: every block holding one for the
+    direct decoder; for the block decoder the good blocks (one element)
+    whose clean codeword read at that element's unit gives x's bit."""
+    st = inst.structure
+    masks, held = {}, {}
+    for p0 in st.perm[st.base._sets0[target - 1]]:
+        k = int(p0) // st.a
+        masks[k] = masks.get(k, 0) ^ (1 << (st.a - 1 - int(p0) % st.a))
+        held[k] = held.get(k, 0) + 1
+    if inst.decoder == "block":
+        length, truth = st.code.length, inst.x.bit(target)
+        masks = {
+            k: v for k, v in masks.items()
+            if held[k] == 1 and inst.codeword.bits.bit(k * length + v + 1) == truth
+        }
+    return {k: masks[k] for k in sorted(masks, key=lambda k: (-held[k], k))}
+
+
 def parity_loop_block_killer(inst, budget, target=None):
-    """block_killer as first written: per block the local mask of the
-    target's probe-set elements, then one parity test per offset."""
+    """block_killer as first written: per attacked block, heaviest first,
+    the local mask of the target's probe-set elements, then one parity
+    test per offset."""
     st = inst.structure
     if target is None:
         target = st.good_indices[0] if st.good_indices else 1
-    counts = st.block_counts(target)
-    locals_by_block = {}
-    for p0 in st.perm[st.base._sets0[target - 1]]:
-        k = int(p0) // st.a
-        locals_by_block[k] = locals_by_block.get(k, 0) ^ (1 << (st.a - 1 - int(p0) % st.a))
     out = []
-    for k in sorted(locals_by_block, key=lambda k: (-int(counts[k]), k)):
+    for k, v in killed_blocks(inst, target).items():
         if len(out) >= budget:
             break
-        v = locals_by_block[k]
         base = k * st.code.length
         for z in range(st.code.length):
             if (z & v).bit_count() & 1:
@@ -871,18 +886,19 @@ def parity_loop_block_killer(inst, budget, target=None):
 )
 def test_block_killer_matches_parity_loop(make, shared_blocks):
     st = make()
-    inst = st.instance(BitString.from_indices(st.public_n, [st.good_indices[0]]))
+    x = BitString.from_indices(st.public_n, [st.good_indices[0]])
     # blocks holding several elements of a probe set go first
     assert shared_blocks == any(
         st.block_counts(i).max() > 1 for i in range(1, st.public_n + 1)
     )
     half = st.code.length // 2
     budgets = (0, 1, half // 2 + 1, half, half + 1, st.code.length, st.b * st.code.length + 3)
-    for target in (None, *range(1, st.public_n + 1)):
-        held = np.count_nonzero(st.block_counts(target or st.good_indices[0]))
-        for budget in budgets:
-            got = inst.block_killer(budget, target).tolist()
-            assert got == parity_loop_block_killer(inst, budget, target)
-            assert len(got) == min(budget, half * held)
+    for inst in (st.instance(x, "block"), st.instance(x, "direct")):
+        for target in (None, *range(1, st.public_n + 1)):
+            held = len(killed_blocks(inst, target or st.good_indices[0]))
+            for budget in budgets:
+                got = inst.block_killer(budget, target).tolist()
+                assert got == parity_loop_block_killer(inst, budget, target)
+                assert len(got) == min(budget, half * held)
     with pytest.raises(ParameterError):
         inst.block_killer(4, st.public_n + 1)

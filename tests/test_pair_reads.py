@@ -138,9 +138,9 @@ def test_counts_match_coin_tally_killer_patterns(name, make, queries):
 def test_pair_read_decoders_describe_only_their_reads(cls):
     """Each pair-read decoder states its reads and nothing the reads
     determine: budget, coin digits, plan and counts come from
-    PairReadScheme alone."""
+    PairReadScheme alone, and so does the greedy climb's swap scorer."""
     assert "reads" in vars(cls)
-    derived = ("plan", "wrong_counts", "coin_radices", "probe_budget")
+    derived = ("plan", "wrong_counts", "swap_counts", "coin_radices", "probe_budget")
     assert [name for name in derived if name in vars(cls)] == []
 
 
