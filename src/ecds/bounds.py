@@ -108,8 +108,8 @@ def ip_ds_lower_bound(n: int, r: int, eps, p: int) -> BoundReport:
 def one_probe_noise_threshold(delta: float, eps: float) -> BoundReport:
     """Universe size beyond which no one-probe membership structure can
     tolerate noise rate delta with error eps: 1/(delta (1 - H(eps)))."""
-    if delta <= 0:
-        raise ParameterError("need delta > 0")
+    if not 0 < delta <= 1:
+        raise ParameterError("need 0 < delta <= 1")
     if not 0 <= eps < 0.5:
         raise ParameterError("need 0 <= eps < 1/2 (threshold diverges at 1/2)")
     h = binary_entropy(eps)

@@ -18,7 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bits import BitString, dot_mod2
+from .bits import BitString
 from .errors import InfeasibleSizeError, ParameterError
 from .oracle import (
     MC_BLOCK,
@@ -141,20 +141,22 @@ class HadamardCode:
 
 
 class PairReads(NamedTuple):
-    """How a pair-read decoder answers one query.
-
-    The answer has w bits, the first most significant.  Each bit picks
-    one of its k reads uniformly, and takes the majority over t picks.
-    Read (i, j) XORs offsets z and z xor unit[i, j] of the length-`length`
-    Hadamard piece stored after 0-based position base[i, j].  With
-    `fallback`, each pick also draws a bit that answers where the unit
-    is 0; without, a unit-0 read reads z twice.  Coins have w*t digits,
-    bit by bit, then pick by pick, each below k * (2 if fallback else 1)
-    * length: the pick, the fallback bit, z.
+    """How a pair-read decoder answers a batch of queries, whose answer
+    bits are numbered in one sequence: query q's are the next widths[q],
+    the first most significant, and bit i's true value is truth[i].  Each
+    bit picks one of its k reads uniformly, and takes the majority over t
+    picks.  Read (i, j) XORs offsets z and z xor unit[i, j] of the
+    length-`length` Hadamard piece stored after 0-based position
+    base[i, j].  With `fallback`, each pick also draws a bit that answers
+    where the unit is 0; without, a unit-0 read reads z twice.  Query q's
+    coins have widths[q]*t digits, bit by bit, then pick by pick, each
+    below k * (2 if fallback else 1) * length: the pick, the fallback bit, z.
     """
 
-    base: np.ndarray  # int64[w, k]
-    unit: np.ndarray  # int64[w, k]
+    base: np.ndarray  # int64[bits, k]
+    unit: np.ndarray  # int64[bits, k]
+    truth: np.ndarray  # 0/1 integers [bits]
+    widths: np.ndarray  # int64[queries]
     length: int
     t: int = 1
     fallback: bool = False
@@ -164,9 +166,9 @@ def pair_read_counter(codeword: Codeword, pattern: CorruptionPattern):
     """Exact wrong counts of pair reads under `pattern`, no offset enumerated.
 
     Returns count(base, unit, truth, length), int64 arrays, one entry a
-    read: for the read of offsets z and z xor unit in the length-`length`
-    piece stored after 0-based position base (a multiple of length), how
-    many of the `length` offsets z XOR to something other than truth.
+    read, and the pieces' length: for the read of offsets z and z xor unit
+    in the piece stored after 0-based position base (a multiple of length),
+    how many of the `length` offsets z XOR to something other than truth.
 
     With F the piece's flips, an offset is hit exactly when one of its
     two probes is flipped, which happens on D = 2|{f in F : f^unit not
@@ -208,11 +210,11 @@ def xor_all(bits: np.ndarray) -> np.ndarray:
 
 class PairReadScheme(Scheme):
     """A decoder of Hadamard pieces read in pairs, described once: a
-    subclass implements reads(query), which checks the query and returns
-    its PairReads, and the probe budget, coin digits, probe plan and
-    exact wrong counts all follow from it."""
+    subclass implements reads(queries), which checks a batch of queries
+    and returns its PairReads, and the probe budget, coin digits, probe
+    plan, truth and exact wrong counts (of a batch at once) follow."""
 
-    def reads(self, query) -> PairReads:
+    def reads(self, queries) -> PairReads:
         raise NotImplementedError
 
     def probe_budget(self, query) -> int:
@@ -220,13 +222,17 @@ class PairReadScheme(Scheme):
         picked once, as every had-ip and composed membership answer is."""
         if query is None:
             return 2
-        r = self.reads(query)
+        r = self.reads([query])
         return 2 * len(r.unit) * r.t
 
     def coin_radices(self, query) -> Tuple[int, ...]:
-        r = self.reads(query)
+        r = self.reads([query])
         (w, k), picks = r.unit.shape, 2 if r.fallback else 1
         return (k * picks * r.length,) * (w * r.t)
+
+    def truth(self, query):
+        bits = self.reads([query]).truth.tolist()
+        return self.answer(query, sum(bit << i for i, bit in enumerate(reversed(bits))))
 
     def plan(self, query, coins: np.ndarray):
         """Each digit's pick read at z and z xor its unit, or its fallback
@@ -234,7 +240,7 @@ class PairReadScheme(Scheme):
         the description makes trivial is skipped: the pick when k = 1
         without fallback, the fallback if every pick reads, the vote if
         w = t = 1."""
-        r = self.reads(query)
+        r = self.reads([query])
         (w, k), t, length = r.unit.shape, r.t, r.length
         z = coins.reshape(len(coins), w, t)
         base, unit, read = r.base, r.unit, None
@@ -263,40 +269,22 @@ class PairReadScheme(Scheme):
         return positions.reshape(len(coins), 2 * w * t), combine
 
     def read_table(self, queries) -> "ReadTable":
-        """The reads of every query, for one pair_read_counter count."""
-        described, bits, answers = [], [], []
-        for query in queries:
-            r, truth = self.reads(query), self.truth(query)
-            value = truth.value if isinstance(truth, BitString) else truth
-            (w, k), picks = r.unit.shape, 2 if r.fallback else 1
-            bits += [value >> i & 1 for i in reversed(range(w))]
-            answers.append((len(bits) - w, len(bits), k * picks * r.length, r.t))
-            described.append(r)
-        # each bit's piece length, fallback flag and number of reads
-        per_query = [(r.length, r.fallback, r.unit.shape[1]) for r in described]
-        per_bit = np.repeat(
-            np.array(per_query, dtype=np.int64).reshape(-1, 3), [len(r.unit) for r in described], axis=0
-        )
-        length, fallback, k = per_bit.T
-        # each read, in query, bit and read order
-        empty = np.empty(0, dtype=np.int64)
-        base = np.concatenate([empty, *(r.base.ravel() for r in described)])
-        unit = np.concatenate([empty, *(r.unit.ravel() for r in described)])
-        bit = np.repeat(np.arange(len(bits)), k)
-        read = (unit > 0) | (fallback[bit] == 0)
-        # the fallback bit is wrong on `length` of a non-reading read's 2 * length values
-        fixed = (np.bincount(bit[~read], minlength=len(bits)) * length).tolist()
-        bit = bit[read]
-        columns = (base[read], unit[read], np.array(bits, dtype=np.int64)[bit], length[bit])
-        return ReadTable(columns, bit, 1 + fallback[bit], fixed, answers)
+        """The reads of every query, from one reads call, for one
+        pair_read_counter count."""
+        r = self.reads(queries)
+        (bits, k), picks = r.unit.shape, 2 if r.fallback else 1
+        bit = np.repeat(np.arange(bits), k)
+        base, unit = r.base.ravel(), r.unit.ravel()
+        read = (unit > 0) | (not r.fallback)  # a unit-0 read's fallback bit is wrong on `length` values
+        fixed = np.bincount(bit[~read], minlength=bits) * r.length
+        base, unit, bit = base[read], unit[read], bit[read]
+        return ReadTable((base, unit, r.truth[bit], r.length), bit, picks, fixed, r.widths, k * picks * r.length, r.t)
 
-    def wrong_counts(self, queries, pattern, limit: int) -> List[int]:
+    def wrong_counts(self, queries, pattern, limit: int) -> List[Tuple[int, int]]:
         """Exact at every query from one pair-read count per read, all in
         one count call, so `limit` never applies."""
         table = self.read_table(queries)
-        counted = pair_read_counter(self.codeword, pattern)(*table.columns)
-        bad = table.bad(counted)
-        return [majority_wrong(bad[lo:hi], n, t) for lo, hi, n, t in table.answers]
+        return table.counts(table.bad(pair_read_counter(self.codeword, pattern)(*table.columns)))
 
     def swap_counts(self, queries, positions, limit: int) -> "PairSwapCounts":
         return PairSwapCounts(self, queries, positions, limit)
@@ -306,26 +294,38 @@ class ReadTable(NamedTuple):
     """Every read of a batch of queries, the answer bits of all queries
     numbered in one sequence.
 
-    `columns` are (base, unit, truth, length) of the reads that read, in
-    query, bit and read order; `bit` is the answer bit each serves, and
-    `weight` the values of its pick per offset (2 with a fallback bit,
-    else 1).  Per bit, `fixed` of its pick values are wrong whatever the
-    flips: `length` for each read whose unit is 0, which the fallback
-    bit answers.  Query q's answer is bits lo..hi - 1 of
-    `answers[q]` = (lo, hi, N, t), N values a pick.
+    `columns` are (base, unit, truth) of the reads that read, in query,
+    bit and read order, and the pieces' length; `bit` is the answer bit
+    each serves, and `weight` the values of its pick per offset (2 with a
+    fallback bit, else 1).  Per bit, `fixed` of its pick values are wrong
+    whatever the flips: `length` for each read whose unit is 0, which the
+    fallback bit answers.  Query q's answer is the next widths[q] bits,
+    each a majority of t picks among `values` values.
     """
 
-    columns: Tuple[np.ndarray, ...]
+    columns: Tuple[np.ndarray, np.ndarray, np.ndarray, int]
     bit: np.ndarray
-    weight: np.ndarray
-    fixed: List[int]
-    answers: List[Tuple[int, int, int, int]]
+    weight: int
+    fixed: np.ndarray
+    widths: np.ndarray
+    values: int
+    t: int
 
     def bad(self, counted: np.ndarray) -> List[int]:
         """Per bit, the wrong pick values given each read's count."""
-        out = np.array(self.fixed, dtype=np.int64)
+        out = self.fixed.copy()
         np.add.at(out, self.bit, self.weight * counted)
         return out.tolist()
+
+    def counts(self, bad: Sequence[int]) -> List[Tuple[int, int]]:
+        """Per query, its coins and how many decode wrongly, given each
+        bit's wrong pick values: a one-bit answer picked once is wrong on
+        exactly those of its bit."""
+        n, t = self.values, self.t
+        if t == 1 and (self.widths == 1).all():
+            return list(zip([n] * len(bad), bad))
+        ends = np.cumsum(self.widths).tolist()
+        return [(n ** ((hi - lo) * t), majority_wrong(bad[lo:hi], n, t)) for lo, hi in zip([0, *ends], ends)]
 
 
 def majority_wrong(bad: Sequence[int], n: int, t: int) -> int:
@@ -356,50 +356,45 @@ class PairSwapCounts(SwapCounts):
     so the partner of 0-based p is p xor u.
     """
 
-    def _count(self) -> List[int]:
-        table = self.scheme.read_table(self.queries)
-        base, unit, truth, length = table.columns
-        counted = pair_read_counter(self.scheme.codeword, self.pattern())(*table.columns)
-        self.bad, self.answers = table.bad(counted), table.answers
+    def _count(self) -> List[Tuple[int, int]]:
+        table = self.table = self.scheme.read_table(self.queries)
+        base, unit, truth, self.length = table.columns
+        self.bad = table.bad(pair_read_counter(self.scheme.codeword, self.pattern())(*table.columns))
+        ends = np.cumsum(table.widths).tolist()
+        self.answers = list(zip([0, *ends], ends))  # per query, its bits lo..hi - 1
         clean = np.frombuffer(self.scheme.codeword.bits._data, dtype=np.uint8)
         agree = packed_bits(clean, base + unit) == truth
         self.units = unit.tolist()
         self.signs = np.where(agree, table.weight, -table.weight).tolist()
         self.bit_of = table.bit.tolist()
-        self.query_of = [q for q, (lo, hi, *_) in enumerate(self.answers) for _ in range(hi - lo)]
-        # the reads that a toggle can change, by piece
-        self.pieces: Dict[Tuple[int, int], List[int]] = {}
-        for i, (b, u, size) in enumerate(zip(base.tolist(), self.units, length.tolist())):
+        self.query_of = [q for q, (lo, hi) in enumerate(self.answers) for _ in range(lo, hi)]
+        # the reads that a toggle can change, by the base of their piece
+        self.pieces: Dict[int, List[int]] = {}
+        for i, (b, u) in enumerate(zip(base.tolist(), self.units)):
             if u:
-                self.pieces.setdefault((size, b), []).append(i)
-        self.lengths = sorted({size for size, _ in self.pieces})
-        return [majority_wrong(self.bad[lo:hi], n, t) for lo, hi, n, t in self.answers]
+                self.pieces.setdefault(b, []).append(i)
+        return table.counts(self.bad)
 
-    def _score(self, drop: int, add: int) -> List[int]:
+    def _score(self, drop: int, add: int) -> List[Tuple[int, int]]:
         self._moved: Dict[int, int] = {}
         for p, flipped in ((drop, True), (add, False)):
             p0 = p - 1
-            for size in self.lengths:
-                for i in self.pieces.get((size, p0 - p0 % size), ()):
-                    partner = (p0 ^ self.units[i]) + 1
-                    same = flipped == (partner in self.flipped and partner != drop)
-                    bit = self.bit_of[i]
-                    self._moved[bit] = self._moved.get(bit, 0) + (2 if same else -2) * self.signs[i]
+            for i in self.pieces.get(p0 - p0 % self.length, ()):
+                partner = (p0 ^ self.units[i]) + 1
+                same = flipped == (partner in self.flipped and partner != drop)
+                bit = self.bit_of[i]
+                self._moved[bit] = self._moved.get(bit, 0) + (2 if same else -2) * self.signs[i]
         counts = list(self.counts)
         for q in {self.query_of[bit] for bit in self._moved}:
-            lo, hi, n, t = self.answers[q]
+            lo, hi = self.answers[q]
             bad = [self.bad[b] + self._moved.get(b, 0) for b in range(lo, hi)]
-            counts[q] = majority_wrong(bad, n, t)
+            counts[q] = (counts[q][0], majority_wrong(bad, self.table.values, self.table.t))
         return counts
 
     def accept(self) -> None:
         for bit, step in self._moved.items():
             self.bad[bit] += step
         super().accept()
-
-
-_ORIGIN = np.zeros((1, 1), dtype=np.int64)  # the base of had-ip's one piece
-_ORIGIN.flags.writeable = False
 
 
 class HadamardIp(PairReadScheme):
@@ -414,13 +409,10 @@ class HadamardIp(PairReadScheme):
         self.code = HadamardCode(x.n)
         self.codeword = Codeword(self.code.encode(x))
 
-    def reads(self, query: BitString) -> PairReads:
-        self.check_query(query)
-        return PairReads(_ORIGIN, np.array([[query.value]], dtype=np.int64), self.code.length)
-
-    def truth(self, query: BitString) -> int:
-        self.check_query(query)
-        return dot_mod2(self.x, query)
+    def reads(self, queries) -> PairReads:
+        y = np.array([query.value for query in self.checked(queries)], dtype=np.int64)
+        truth, ones = np.bitwise_count(y & self.x.value) & 1, np.ones_like(y)
+        return PairReads(np.zeros_like(y)[:, None], y[:, None], truth, ones, self.code.length)
 
     def queries(self):
         return (BitString.from_int(self.x.n, v) for v in range(self.code.length))
@@ -477,19 +469,16 @@ class MajorityAmplified(Scheme):
     def truth(self, query):
         return self.inner.truth(query)
 
-    def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[int]]:
+    def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[Tuple[int, int]]]:
         """Exact wherever the inner scheme's wrong_counts is: the t runs
         use independent coins, so the majority is wrong with
         majority_error(inner error, t)."""
-        queries = list(queries)
-        for query in queries:
-            self.check_query(query)
-        out: List[Optional[int]] = []
-        for query, wrong in zip(queries, self.inner.wrong_counts(queries, pattern, limit)):
-            if wrong is not None:
-                err = majority_error(Fraction(wrong, self.inner.coin_count(query)), self.t)
-                wrong = int(self.coin_count(query) * err)
-            out.append(wrong)
+        out: List[Optional[Tuple[int, int]]] = []
+        for counted in self.inner.wrong_counts(self.checked(queries), pattern, limit):
+            if counted is not None:
+                coins, wrong = counted
+                counted = (coins**self.t, int(coins**self.t * majority_error(Fraction(wrong, coins), self.t)))
+            out.append(counted)
         return out
 
     def queries(self):

@@ -5,15 +5,16 @@ scheme instance, never exceeding its flip budget.  The greedy adversary
 swaps one flip at a time and scores each swap with the scheme's
 Scheme.swap_counts, the queries' wrong_counts kept up to date: recounted
 by default, and changed only at the reads a swap touches for a Hadamard
-pair-read decoder.  estimate_error then
-measures per-query decoding error under that pattern, counting every
-query through one wrong_counts call: exact wherever it counts (every
-Hadamard pair-read decoder does at any size, and the default enumerates
-the probe plan up to exact_limit, 2^20 coins), and sampled from the plan
-by Monte Carlo, with exact 99% Clopper-Pearson intervals, where it
-declines.  exact_limit caps enumeration only.  Reports keep their
-per-query results as columns: counts in the narrowest unsigned type that
-holds them, and the query labels as one interned string shared by every
+pair-read decoder.  estimate_error then measures per-query decoding
+error under that pattern, counting every query's coins and wrong coins
+in one wrong_counts call: exact wherever it counts (every pair-read
+decoder does at any size, from one reads call over the batch, and the
+default enumerates the probe plan up to exact_limit, 2^20 coins), and
+sampled from the plan by Monte Carlo, with exact 99% Clopper-Pearson
+intervals, where it declines.  exact_limit caps enumeration only.
+Reports keep their per-query results as columns: counts in the narrowest
+unsigned type that holds them, shared by every report with the same
+counts, and the query labels as one interned string shared by every
 report over the same queries.  They are deterministic functions of
 (parameters, seed) and serialize to canonical JSON and CSV; wall time is
 carried alongside but kept out of the canonical bytes.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -126,20 +128,17 @@ def attack(
 
 
 def _greedy_objective(scheme, queries, trials, seed):
-    """Worst-over-queries error from the queries' wrong counts: exact
-    where counted, else sampled over `trials` from the pattern that
+    """Worst-over-queries error from the queries' (coins, wrong) counts:
+    exact where counted, else sampled over `trials` from the pattern that
     `pattern()` gives."""
-    coins = [scheme.coin_count(q) for q in queries]  # once, not per proposal
 
     def f(counts, pattern) -> float:
         worst = 0.0
-        for qi, (q, wrong, count) in enumerate(zip(queries, counts, coins)):
-            if wrong is None:
+        for qi, (q, counted) in enumerate(zip(queries, counts)):
+            if counted is None:
                 rng = stream("greedy-eval", seed, qi)
-                err = _sampled_wrong(scheme, q, pattern(), trials, lambda _: rng) / trials
-            else:
-                err = wrong / count
-            worst = max(worst, err)
+                counted = (trials, _sampled_wrong(scheme, q, pattern(), trials, lambda _: rng))
+            worst = max(worst, counted[1] / counted[0])
         return worst
 
     return f
@@ -229,6 +228,7 @@ class QueryResult:
 
 COUNT_COLUMNS = ("trials", "wrong", "weight")
 _NO_INTERVALS: Mapping[int, Tuple[float, float]] = MappingProxyType({})
+_SHARED_COUNTS = weakref.WeakValueDictionary()  # (dtype, bytes) -> counts, while a report holds them
 
 
 # eq=False: the counts are an array, and reports compare by their bytes
@@ -327,18 +327,18 @@ def _measure(scheme, queries, pattern, trials, seed, exact_limit, conf) -> List[
     """One row per query under one pattern, (label, coins or trials, wrong,
     pattern weight, interval): exact, with no interval, from one
     wrong_counts call over the queries, and sampled where that declines."""
-    rows = []
-    for query, wrong in zip(queries, scheme.wrong_counts(queries, pattern, exact_limit)):
+    rows, weight = [], pattern.weight
+    for query, counted in zip(queries, scheme.wrong_counts(queries, pattern, exact_limit)):
         label = scheme.query_label(query)
-        if wrong is not None:
-            rows.append((label, scheme.coin_count(query), wrong, pattern.weight, None))
+        if counted is not None:
+            rows.append((label, *counted, weight, None))
             continue
         # each block of MC_BLOCK trials draws from its own stream, seeded
         # from (seed, query, block index), so trial t's coins depend only on t
         wrong = _sampled_wrong(
             scheme, query, pattern, trials, lambda block: stream("mc", seed, label, block)
         )
-        rows.append((label, trials, wrong, pattern.weight, clopper_pearson(wrong, trials, conf)))
+        rows.append((label, trials, wrong, weight, clopper_pearson(wrong, trials, conf)))
     return rows
 
 
@@ -377,6 +377,7 @@ def estimate_error(
         for query in queries:
             pattern = attack(strategy, scheme, query)
             rows += _measure(scheme, [query], pattern, trials, seed, exact_limit, confidence)
+    labels, coins, wrong, weights, intervals = zip(*rows) if rows else ((),) * 5
     n = scheme.codeword.n
     return ExperimentReport(
         scheme=scheme.name,
@@ -388,24 +389,30 @@ def estimate_error(
         trials=trials,
         seed=seed,
         confidence=confidence,
-        label_text=sys.intern("\n".join(row[0] for row in rows)),
-        counts=_count_columns([row[1:4] for row in rows]),
+        label_text=sys.intern("\n".join(labels)),
+        counts=_count_columns(coins, wrong, weights),
         # one shared empty mapping where every row is exact
-        intervals={i: row[4] for i, row in enumerate(rows) if row[4] is not None} or _NO_INTERVALS,
-        worst_error=max((wrong / count for _, count, wrong, *_ in rows), default=0.0),
+        intervals={i: ci for i, ci in enumerate(intervals) if ci is not None} or _NO_INTERVALS,
+        worst_error=max((w / c for c, w in zip(coins, wrong)), default=0.0),
         wall_time=time.monotonic() - t0,
     )
 
 
-def _count_columns(rows) -> np.ndarray:
-    """Non-negative integer rows (coins or trials, wrong, pattern weight)
-    as one read-only structured array, each column in np.min_scalar_type
-    of its largest entry: an unsigned type, or Python ints (an object
-    column) past 2^64."""
-    columns = list(zip(*rows)) or [()] * 3
-    out = np.array(rows, dtype=_columns_dtype(*(np.min_scalar_type(max(col, default=0)) for col in columns)))
+def _count_columns(*columns) -> np.ndarray:
+    """Columns of non-negative integers (coins or trials, wrong, pattern
+    weight) as one read-only structured array, each column in
+    np.min_scalar_type of its largest entry: an unsigned type, or Python
+    ints (an object column) past 2^64.  Equal unsigned counts share one
+    array, a view of their bytes, as equal labels share one string."""
+    types = (np.min_scalar_type(max(col, default=0)) for col in columns)
+    out = np.empty(len(columns[0]), dtype=_columns_dtype(*types))
+    for name, column in zip(COUNT_COLUMNS, columns):
+        out[name] = column
     out.flags.writeable = False
-    return out
+    if out.dtype.hasobject:
+        return out
+    data = out.tobytes()
+    return _SHARED_COUNTS.setdefault((out.dtype, data), np.frombuffer(data, dtype=out.dtype))
 
 
 @lru_cache(maxsize=None)

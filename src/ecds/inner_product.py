@@ -25,7 +25,6 @@ from .bits import (
     BoundedWeightSpace,
     ball_size,
     dot_mod2,
-    extract_substring,
     split_query,
 )
 from .errors import InfeasibleSizeError, ParameterError
@@ -175,20 +174,18 @@ class SubstringHadamard(LowWeightQueries, PairReadScheme):
             raise ParameterError("piece index out of range")
         return (k - 1) * self.piece_len
 
-    def reads(self, query: BitString) -> PairReads:
-        """Per requested bit, first to last: its piece, at its unit vector."""
-        self.check_query(query)
-        locations = [self.bit_location(i) for i in query.support()]
-        base = np.array([self.piece_offset(k) for k, _ in locations], dtype=np.int64)
-        unit = np.array([1 << (self.chunk - e) for _, e in locations], dtype=np.int64)
-        return PairReads(base[:, None], unit[:, None], self.piece_len, self.t)
+    def reads(self, queries) -> PairReads:
+        """Per requested bit of each query, first to last: its piece, at its unit vector."""
+        queries = self.checked(queries)
+        i = np.array([j for query in queries for j in query.support()], dtype=np.int64) - 1
+        piece, e = np.divmod(i, self.chunk)
+        truth = self.x.to_bit_array()[i]
+        widths = np.array([query.weight for query in queries], dtype=np.int64)
+        base, unit = (piece * self.piece_len)[:, None], (1 << (self.chunk - 1 - e))[:, None]
+        return PairReads(base, unit, truth, widths, self.piece_len, self.t)
 
     def answer(self, query: BitString, value) -> BitString:
         return BitString.from_int(query.weight, int(value))
-
-    def truth(self, query: BitString) -> BitString:
-        self.check_query(query)
-        return extract_substring(self.x, query)
 
     def piece_killer(self, budget: int, target=None) -> List[int]:
         """Corrupt a quarter of one piece: all z with two chosen coordinates

@@ -657,7 +657,7 @@ class BlockCodedMembership:
         }
 
 
-class ComposedInstance(IndexQueries, PairReadScheme):
+class ComposedInstance(PairReadScheme, IndexQueries):
     """Encoded composed structure; queries are public indices.
 
     decoder="block": pick a uniform block; when it holds exactly one
@@ -706,21 +706,22 @@ class ComposedInstance(IndexQueries, PairReadScheme):
         if not 1 <= query <= self.structure.public_n:
             raise ParameterError("query outside public domain")
 
-    def reads(self, query: int) -> PairReads:
-        """What the pick chooses among: each block (block decoder) or
-        each element of P_i (direct), read at the unit vector of i's
-        local bit in its block.  The block decoder's unit is 0 in a
-        block not good for i, where the fallback bit answers."""
-        self.check_query(query)
+    def reads(self, queries) -> PairReads:
+        """What index i's pick chooses among: each block (block decoder)
+        or each element of P_i (direct), read at the unit vector of i's
+        local bit in its block.  The block decoder's unit is 0 in a block
+        not good for i, where the fallback bit answers."""
         st, length = self.structure, self.structure.code.length
-        blocks, bit = st.placement(query)
+        i = np.array(self.checked(queries), dtype=np.int64) - 1
+        blocks, bit = np.divmod(st._placed[i], st.a)
         units = 1 << (st.a - 1 - bit)
+        truth, widths = self.x.to_bit_array()[i], np.ones_like(i)
         if self.decoder == "direct":
-            return PairReads(blocks[None] * length, units[None], length)
-        alone = st._alone[query - 1]
-        local = np.zeros(st.b, dtype=np.int64)
-        local[blocks[alone]] = units[alone]
-        return PairReads(np.arange(st.b)[None] * length, local[None], length, fallback=True)
+            return PairReads(blocks * length, units, truth, widths, length)
+        local = np.zeros((len(i), st.b), dtype=np.int64)
+        local[np.arange(len(i))[:, None], blocks] = np.where(st._alone[i], units, 0)
+        base = np.arange(0, st.b * length, length)[None].repeat(len(i), axis=0)
+        return PairReads(base, local, truth, widths, length, fallback=True)
 
     def queries(self):
         return iter(self.structure.good_indices)
@@ -745,7 +746,7 @@ class ComposedInstance(IndexQueries, PairReadScheme):
         units = 1 << (st.a - 1 - bit)
         if self.decoder == "block":
             clean = np.frombuffer(self.codeword.bits._data, dtype=np.uint8)
-            right = packed_bits(clean, held * st.code.length + units) == self.truth(target)
+            right = packed_bits(clean, held * st.code.length + units) == self.x.bit(target)
             keep = st._alone[target - 1] & right
             held, units = held[keep], units[keep]
         counts = np.bincount(held, minlength=st.b)

@@ -76,9 +76,9 @@ class CorruptionPattern:
 
     @staticmethod
     def budget(delta: float, n: int) -> int:
-        """Largest number of flips allowed at noise rate delta."""
-        if delta < 0:
-            raise ParameterError("negative noise rate")
+        """Largest number of flips allowed at noise rate delta, a rate in [0, 1]."""
+        if not 0 <= delta <= 1:
+            raise ParameterError("noise rate %r is not in [0, 1]" % delta)
         return math.floor(delta * n)
 
     @property
@@ -276,12 +276,12 @@ class Scheme:
     def truth(self, query):
         raise NotImplementedError
 
-    def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[int]]:
-        """Per query, how many coins decode wrongly under `pattern`, or None
-        where that means enumerating more than `limit` coins.  exact_error
-        and estimate_error ask it for every query; a scheme that counts
-        without enumerating overrides it, and is then exact at any size."""
-        out: List[Optional[int]] = []
+    def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[Tuple[int, int]]]:
+        """Per query, its coins and how many decode wrongly under `pattern`,
+        or None where that means enumerating more than `limit` coins.
+        exact_error and estimate_error ask it for every query; a scheme that
+        counts without enumerating overrides it, exact at any size."""
+        out: List[Optional[Tuple[int, int]]] = []
         word = None
         for query in queries:
             count = self.coin_count(query)
@@ -290,7 +290,7 @@ class Scheme:
                 continue
             if word is None:
                 word = corrupt(self.codeword, pattern)
-            out.append(count_wrong(self, query, coin_chunks(self.coin_radices(query), count), word))
+            out.append((count, count_wrong(self, query, coin_chunks(self.coin_radices(query), count), word)))
         return out
 
     def swap_counts(self, queries, positions, limit: int) -> "SwapCounts":
@@ -342,6 +342,13 @@ class Scheme:
         if query.n != self.x.n:
             raise ParameterError("query length mismatch")
 
+    def checked(self, queries) -> list:
+        """The queries as a list, each refused unless this scheme answers it."""
+        queries = list(queries)
+        for query in queries:
+            self.check_query(query)
+        return queries
+
     def parse_query(self, text: str):
         """A query written as 0/1 text, refused unless this scheme answers it."""
         query = BitString.from01(text)
@@ -360,12 +367,12 @@ class SwapCounts:
 
     `positions` holds the current flips ascending, beside the set
     `flipped`, and `counts` their wrong_counts(queries, pattern, limit)
-    entries, None where that declines.  swap(drop, add) returns the
-    counts with flip `drop` cleared and the unflipped position `add`
-    set, and accept() makes that swap current; a swap not accepted
-    changes nothing.  pattern() is the pattern of the last swap
-    proposed, or of the current flips before any.  This default
-    recounts every swap through wrong_counts.
+    entries, (coins, wrong) or None where that declines.  swap(drop,
+    add) returns the counts with flip `drop` cleared and the unflipped
+    position `add` set, and accept() makes that swap current; a swap not
+    accepted changes nothing.  pattern() is the pattern of the last swap
+    proposed, or of the current flips before any.  This default recounts
+    every swap through wrong_counts.
     """
 
     def __init__(self, scheme: "Scheme", queries, positions: Iterable[int], limit: int):
@@ -376,7 +383,7 @@ class SwapCounts:
         self._pattern: Optional[CorruptionPattern] = None
         self.counts = self._next = self._count()
 
-    def _count(self) -> List[Optional[int]]:
+    def _count(self) -> List[Optional[Tuple[int, int]]]:
         return self.scheme.wrong_counts(self.queries, self.pattern(), self.limit)
 
     def pattern(self) -> CorruptionPattern:
@@ -388,12 +395,12 @@ class SwapCounts:
                 self._pattern = CorruptionPattern((self.flipped - {drop}) | {add})
         return self._pattern
 
-    def swap(self, drop: int, add: int) -> List[Optional[int]]:
+    def swap(self, drop: int, add: int) -> List[Optional[Tuple[int, int]]]:
         self._swap, self._pattern = (drop, add), None
         self._next = self._score(drop, add)
         return self._next
 
-    def _score(self, drop: int, add: int) -> List[Optional[int]]:
+    def _score(self, drop: int, add: int) -> List[Optional[Tuple[int, int]]]:
         return self._count()
 
     def accept(self) -> None:
@@ -490,8 +497,7 @@ def exact_error(
     """Exact decoding error probability under `pattern`, over all coins,
     from the scheme's wrong_counts; EnumerationLimitError where that
     declines, past `limit` coins."""
-    (wrong,) = scheme.wrong_counts([query], pattern, limit)
-    count = scheme.coin_count(query)
-    if wrong is None:
-        _check_enumerable(count, limit)
-    return Fraction(wrong, count)
+    (counted,) = scheme.wrong_counts([query], pattern, limit)
+    if counted is None:
+        _check_enumerable(scheme.coin_count(query), limit)
+    return Fraction(counted[1], counted[0])

@@ -74,7 +74,7 @@ def test_criterion_01_two_probe_error_bound():
             if pattern.weight > weight:
                 failures.append("pattern overweight at delta %s" % delta)
                 continue
-            worst = max(scheme.wrong_counts(queries, pattern, 0))
+            worst = max(wrong for _, wrong in scheme.wrong_counts(queries, pattern, 0))
             if worst > 2 * weight or worst / n > 2 * delta:
                 failures.append(
                     "delta %s weight %d worst count %d" % (delta, weight, worst)

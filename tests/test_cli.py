@@ -521,6 +521,24 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["inputs"]["ball"] == 11
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan", "2"])
+def test_noise_rate_outside_the_unit_interval_is_refused(tmp_path, capsys, delta):
+    """A noise rate is a fraction of the word: experiment, attack and the
+    one-probe bound each exit 3 with a JSON error line on inf, nan and 2,
+    where inf raised OverflowError (exit 1), 2 flipped the whole word and
+    nan printed a NaN bound."""
+    st, pat = str(tmp_path / "had.ecds"), tmp_path / "p.json"
+    run_json(capsys, "build", "--scheme", "had-ip", "--n", "6", "--x", "101101", "--out-file", st)
+    for argv in (
+        ["experiment", "--structure", st, "--adversary", "random_flips", "--delta", delta],
+        ["attack", "--structure", st, "--kind", "random_flips", "--delta", delta, "--out-file", str(pat)],
+        ["bounds", "one-probe", "--delta", delta, "--eps", "0.1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and not pat.exists()
+        assert json.loads(err)["error"] == "ParameterError"
+
+
 @pytest.mark.parametrize("scheme, query", [("had-ip", "11"), ("equality", "101100")])
 def test_decode_refuses_wrong_length_query(tmp_path, capsys, scheme, query):
     st = str(tmp_path / "s.ecds")

@@ -72,7 +72,7 @@ def _partner(scheme, queries, drop, flipped):
     if not hasattr(scheme, "reads"):
         return None
     for q in queries:
-        r = scheme.reads(q)
+        r = scheme.reads([q])
         for base, unit in zip(r.base.ravel().tolist(), r.unit.ravel().tolist()):
             if unit and base <= drop - 1 < base + r.length:
                 partner = ((drop - 1) ^ unit) + 1

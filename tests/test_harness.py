@@ -168,7 +168,7 @@ def test_greedy_local_finds_worst_pair():
     pattern = attack(strat, sch)
     assert pattern.weight == 2
     # any two distinct flips already force worst-query error 1/2
-    assert max(sch.wrong_counts(list(sch.queries()), pattern, 0)) == 4
+    assert max(wrong for _, wrong in sch.wrong_counts(list(sch.queries()), pattern, 0)) == 4
 
 
 def test_greedy_local_generic_paths():
@@ -260,7 +260,7 @@ def test_estimate_error_exact_under_attack():
     strat = AdversaryStrategy(kind="random_flips", budget=2, seed=3)
     rep = estimate_error(sch, strategy=strat, trials=10, seed=0)
     pattern = attack(strat, sch)
-    counts = sch.wrong_counts(list(sch.queries()), pattern, 0)
+    counts = [wrong for _, wrong in sch.wrong_counts(list(sch.queries()), pattern, 0)]
     assert rep.worst_error == max(counts) / 16
     assert rep.budget == 2 and rep.delta == 2 / 16
     for r in rep.results:

@@ -185,8 +185,8 @@ def test_report_views_and_bytes_are_pinned():
 
 def test_kept_reports_hold_little_per_query():
     """Twenty kept reports of 256 had-ip queries hold their results in
-    columns of the narrowest type, and share one labels string: at most
-    16 bytes a query."""
+    columns of the narrowest type, and share one labels string and one
+    counts array: at most 16 bytes a query."""
     sch = HadamardIp(BitString.random(8, random.Random(1)))
     queries = list(sch.queries())
     strategy = AdversaryStrategy("random_flips", 10, seed=1)
@@ -204,4 +204,5 @@ def test_kept_reports_hold_little_per_query():
     assert held <= 16 * 20 * len(queries)
     assert all(r.to_json() == kept[0].to_json() for r in kept)
     assert len({id(r.label_text) for r in kept}) == 1
+    assert len({id(r.counts) for r in kept}) == 1 and not kept[0].counts.flags.writeable
     assert kept[0].labels == tuple(q.to01() for q in queries)

@@ -825,9 +825,9 @@ def test_composed_placement_matches_per_index_divmod(make):
         assert list(st.good_blocks(i).items()) == sorted(alone.items())
         good += [i] if 4 * len(alone) >= st.b else []
         units = 1 << (st.a - 1 - e)
-        blocks, got = direct.reads(i).base[0] // st.code.length, direct.reads(i).unit[0]
+        blocks, got = direct.reads([i]).base[0] // st.code.length, direct.reads([i]).unit[0]
         assert (blocks.tolist(), got.tolist()) == (held.tolist(), units.tolist())
-        blocks, got = block.reads(i).base[0] // st.code.length, block.reads(i).unit[0]
+        blocks, got = block.reads([i]).base[0] // st.code.length, block.reads([i]).unit[0]
         expect = [1 << (st.a - alone[k]) if k in alone else 0 for k in range(1, st.b + 1)]
         assert (blocks.tolist(), got.tolist()) == (list(range(st.b)), expect)
     assert st.good_indices == tuple(good)

@@ -2,12 +2,12 @@
 equals the per-coin tally.
 
 had-ip, substring extraction and composed membership (both decoders)
-each describe their decoder once, as the pair reads of a query
-(`PairReadScheme.reads`); the shared PairReadScheme derives the probe
-budget, the coin digits, the plan and the exact wrong counts from that
-description, counting the wrong coins in closed form instead of
-enumerating them, which is what makes them exact past the enumeration
-limit.  Majority amplification counts from its inner scheme's counts.
+each describe their decoder once, as the pair reads of a batch of
+queries (`PairReadScheme.reads`); the shared PairReadScheme derives the
+probe budget, the coin digits, the plan, the true answer and the exact
+wrong counts from that description, counting the wrong coins in closed
+form instead of enumerating them, which is what makes them exact past
+the enumeration limit.  Majority amplification counts from its inner scheme's counts.
 On every query of small instances, under the empty pattern, random
 patterns and the killer patterns, each count must equal the tally of
 decoding every coin through the probe plan (count_wrong over
@@ -27,9 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecds import hadamard
-from ecds.bits import BitString
+from ecds.bits import BitString, dot_mod2, extract_substring
 from ecds.errors import ParameterError
-from ecds.hadamard import HadamardIp, MajorityAmplified, pair_read_counter
+from ecds.hadamard import HadamardIp, MajorityAmplified, PairReadScheme, pair_read_counter
 from ecds.harness import AdversaryStrategy, attack, estimate_error
 from ecds.inner_product import SubstringHadamard
 from ecds.membership import BlockCodedMembership, ComposedInstance, OneProbeMembership
@@ -85,11 +85,13 @@ INSTANCES = [
 
 
 def coin_tally(scheme, queries, pattern):
-    """Wrong coins per query, by decoding every coin through the plan."""
+    """Per query, its coins and how many decode wrongly, by decoding
+    every coin through the plan."""
     word = corrupt(scheme.codeword, pattern)
+    counts = [scheme.coin_count(q) for q in queries]
     return [
-        count_wrong(scheme, q, coin_chunks(scheme.coin_radices(q), scheme.coin_count(q)), word)
-        for q in queries
+        (count, count_wrong(scheme, q, coin_chunks(scheme.coin_radices(q), count), word))
+        for q, count in zip(queries, counts)
     ]
 
 
@@ -100,7 +102,7 @@ def check_counts(scheme, queries, pattern):
     # queries read once, as from a generator
     assert scheme.wrong_counts(iter(queries), pattern, 0) == tally
     assert [exact_error(scheme, q, pattern, limit=0) for q in queries] == [
-        Fraction(w, scheme.coin_count(q)) for q, w in zip(queries, tally)
+        Fraction(w, coins) for coins, w in tally
     ]
 
 
@@ -137,11 +139,116 @@ def test_counts_match_coin_tally_killer_patterns(name, make, queries):
 @pytest.mark.parametrize("cls", [HadamardIp, SubstringHadamard, ComposedInstance])
 def test_pair_read_decoders_describe_only_their_reads(cls):
     """Each pair-read decoder states its reads and nothing the reads
-    determine: budget, coin digits, plan and counts come from
-    PairReadScheme alone, and so does the greedy climb's swap scorer."""
+    determine: budget, coin digits, plan, true answer and counts come
+    from PairReadScheme alone, and so does the greedy climb's swap
+    scorer; no other base class shadows them."""
     assert "reads" in vars(cls)
-    derived = ("plan", "wrong_counts", "swap_counts", "coin_radices", "probe_budget")
+    derived = ("plan", "wrong_counts", "swap_counts", "coin_radices", "probe_budget", "truth")
     assert [name for name in derived if name in vars(cls)] == []
+    assert [name for name in derived if getattr(cls, name) is not getattr(PairReadScheme, name)] == []
+
+
+@lru_cache(maxsize=None)
+def _composed_8_64():
+    return BlockCodedMembership.build(16, 1, eps=0.4, a=8, b=64, seed=0)
+
+
+def _answer_bits(answer):
+    return [int(c) for c in answer.to01()] if isinstance(answer, BitString) else [answer]
+
+
+ZERO = _bits("000000")
+# (name, scheme factory, one batch of queries, the answer from x alone,
+# a query the scheme refuses)
+BATCHES = [
+    ("had-ip", lambda: HadamardIp(_bits("1011")), _all(4), lambda s, q: dot_mod2(s.x, q), _bits("101")),
+    (
+        "substring-t1",
+        lambda: SubstringHadamard(SUB_X, 3, t=1),
+        [ZERO, *SUB_QUERIES, ZERO],
+        lambda s, q: extract_substring(s.x, q),
+        _bits("1010"),
+    ),
+    (
+        "substring-t3",
+        lambda: SubstringHadamard(SUB_X, 3, t=3),
+        [*SUB_QUERIES[:2], ZERO, *SUB_QUERIES[2:]],
+        lambda s, q: extract_substring(s.x, q),
+        _bits("1000000"),
+    ),
+    *(
+        (
+            "composed-" + decoder,
+            lambda decoder=decoder: _composed_8_64().instance(BitString.from_indices(16, [9]), decoder),
+            list(range(1, 17)),
+            lambda s, q: s.x.bit(q),
+            17,
+        )
+        for decoder in ("block", "direct")
+    ),
+]
+
+
+@pytest.mark.parametrize("name, make, queries, reference, bad", BATCHES, ids=[b[0] for b in BATCHES])
+def test_a_batch_reads_as_its_queries_one_by_one(name, make, queries, reference, bad):
+    """reads(queries) is the row-wise concatenation of reads([q]) over
+    the batch, with the instance's length, t and fallback; each bit's
+    true value is the bit of truth(q), and truth(q) is the answer
+    computed from x alone."""
+    scheme = make()
+    batch, parts = scheme.reads(queries), [scheme.reads([q]) for q in queries]
+    for field in ("base", "unit", "truth", "widths"):
+        assert np.array_equal(getattr(batch, field), np.concatenate([getattr(p, field) for p in parts]))
+    assert {(p.length, p.t, p.fallback) for p in parts} == {(batch.length, batch.t, batch.fallback)}
+    assert batch.truth.tolist() == [bit for q in queries for bit in _answer_bits(scheme.truth(q))]
+    assert [scheme.truth(q) for q in queries] == [reference(scheme, q) for q in queries]
+    assert np.array_equal(scheme.reads(iter(queries)).unit, batch.unit)
+
+
+@pytest.mark.parametrize("name, make, queries, reference, bad", BATCHES, ids=[b[0] for b in BATCHES])
+def test_a_batch_with_one_bad_query_is_refused_before_any_count(
+    monkeypatch, name, make, queries, reference, bad
+):
+    """One wrong-length query, or an index outside the public domain,
+    anywhere in a batch raises ParameterError before any pair read is
+    counted."""
+    calls = []
+    monkeypatch.setattr(hadamard, "pair_read_counter", lambda *args: calls.append(args))
+    scheme = make()
+    for batch in ([bad, *queries], [*queries[:3], bad, *queries[3:]], [*queries, bad]):
+        with pytest.raises(ParameterError):
+            scheme.wrong_counts(batch, CorruptionPattern([1]), 0)
+        with pytest.raises(ParameterError):
+            estimate_error(scheme, queries=batch, trials=10)
+    if not isinstance(bad, BitString):
+        with pytest.raises(ParameterError):
+            scheme.reads([*queries, 0])
+    assert calls == []
+
+
+def test_hadamard_ip_measurement_builds_its_reads_once(monkeypatch):
+    """A 256-query had-ip estimate_error describes its queries in one
+    reads call, not again per query for its coin count and truth; a
+    targeted greedy climb adds one more, for the one query it climbs on."""
+    calls = []
+    reads = HadamardIp.reads
+
+    def counted(self, queries):
+        queries = list(queries)
+        calls.append(len(queries))
+        return reads(self, queries)
+
+    monkeypatch.setattr(HadamardIp, "reads", counted)
+    sch = HadamardIp(BitString.random(8, random.Random(3)))
+    queries = list(sch.queries())
+    strategy = AdversaryStrategy(kind="random_flips", budget=12, seed=1)
+    rep = estimate_error(sch, queries=queries, strategy=strategy, trials=10)
+    assert [r.mode for r in rep.results] == ["exact"] * 256
+    assert calls == [256]
+    calls.clear()
+    strategy = AdversaryStrategy(kind="greedy_local", budget=12, seed=1, target=queries[5])
+    estimate_error(sch, queries=queries, strategy=strategy, trials=10)
+    assert calls == [1, 256]
 
 
 def test_composed_non_members_read_colliding_bits():
@@ -153,7 +260,7 @@ def test_composed_non_members_read_colliding_bits():
         length = inst.structure.code.length
         collisions = 0
         for q in range(1, 17):
-            blocks, units = inst.reads(q).base[0] // length, inst.reads(q).unit[0]
+            blocks, units = inst.reads([q]).base[0] // length, inst.reads([q]).unit[0]
             read = units > 0
             clean = [
                 inst.codeword.bits.bit(int(k * length + u + 1))
@@ -163,7 +270,8 @@ def test_composed_non_members_read_colliding_bits():
         assert collisions > 0
         # noiseless, such a query errs with exactly its colliding share
         empty = CorruptionPattern.empty()
-        assert inst.wrong_counts([1], empty, 0) == coin_tally(inst, [1], empty) != [0]
+        tally = coin_tally(inst, [1], empty)
+        assert inst.wrong_counts([1], empty, 0) == tally and tally[0][1] != 0
 
 
 def test_majority_refuses_wide_answers():
@@ -223,7 +331,7 @@ def test_hadamard_ip_counts_past_the_transform_limit():
     assert pattern.weight == budget
     rep = estimate_error(sch, queries=queries, strategy=strategy, trials=10)
     assert [r.mode for r in rep.results] == ["exact"] * len(queries)
-    assert [r.wrong for r in rep.results[:2]] == coin_tally(sch, queries[:2], pattern)
+    assert [(r.trials, r.wrong) for r in rep.results[:2]] == coin_tally(sch, queries[:2], pattern)
     # the rest by the XOR of the flip indicator at z and z^y
     flipped = np.zeros(1 << s, dtype=bool)
     flipped[pattern.array - 1] = True

@@ -176,11 +176,12 @@ def test_default_wrong_counts_match_coin_tally(name, make, queries):
             )
             for q, count in zip(queries, counts)
         ]
-        assert Scheme.wrong_counts(scheme, queries, pattern, max(counts)) == tally
-        assert scheme.wrong_counts(queries, pattern, max(counts)) == tally
+        counted = list(zip(counts, tally))
+        assert Scheme.wrong_counts(scheme, queries, pattern, max(counts)) == counted
+        assert scheme.wrong_counts(queries, pattern, max(counts)) == counted
         for limit in sorted(set(counts) | {c - 1 for c in counts}):
             got = Scheme.wrong_counts(scheme, queries, pattern, limit)
-            assert got == [w if c <= limit else None for w, c in zip(tally, counts)]
+            assert got == [(c, w) if c <= limit else None for w, c in zip(tally, counts)]
 
 
 def test_probe_distribution_skips_unread_slots():
