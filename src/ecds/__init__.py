@@ -38,7 +38,6 @@ from .hadamard import (
     HadamardIp,
     MajorityAmplified,
     RandomLinearCode,
-    majority_error,
 )
 from .harness import (
     AdversaryStrategy,

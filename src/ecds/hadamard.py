@@ -8,6 +8,7 @@ corruption that misses both probes, so the decoding error is at most
 twice the corrupted fraction, for every flip pattern.  Every decoder
 that reads Hadamard pieces so (this inner product, substring extraction,
 composed membership) is a PairReadScheme, described by its reads alone.
+A majority of t runs counts in integers wherever its inner scheme counts.
 """
 
 from __future__ import annotations
@@ -424,6 +425,13 @@ class HadamardIp(PairReadScheme):
         return {"s": self.x.n, "x": self.x.to01()}
 
 
+def repetition_count(t) -> int:
+    """t, the votes of a majority, refused unless an odd positive int (not a bool)."""
+    if type(t) is not int or t < 1 or t % 2 == 0:
+        raise ParameterError("repetition count must be an odd positive integer, got %r" % (t,))
+    return t
+
+
 class MajorityAmplified(Scheme):
     """Runs an inner bit-valued scheme t times and takes the majority.
 
@@ -432,10 +440,8 @@ class MajorityAmplified(Scheme):
     """
 
     def __init__(self, inner: Scheme, t: int):
-        if t < 1 or t % 2 == 0:
-            raise ParameterError("repetition count must be odd and positive")
+        self.t = repetition_count(t)
         self.inner = inner
-        self.t = t
         self.name = inner.name + "-maj%d" % t
         self.codeword = inner.codeword
 
@@ -446,11 +452,12 @@ class MajorityAmplified(Scheme):
         return self.inner.coin_radices(query) * self.t
 
     def check_query(self, query) -> None:
-        """The inner scheme's check, and a vote needs a one-bit answer."""
+        """The inner scheme's check, and a vote needs a one-bit answer,
+        whose type `answer` gives without a truth."""
         self.inner.check_query(query)
-        truth = self.inner.truth(query)
-        if isinstance(truth, BitString) and truth.n > 1:
-            raise ParameterError("majority votes on one-bit answers, not %d bits" % truth.n)
+        width = self.inner.answer(query, 0)
+        if isinstance(width, BitString) and width.n > 1:
+            raise ParameterError("majority votes on one-bit answers, not %d bits" % width.n)
 
     def plan(self, query, coins: np.ndarray):
         self.check_query(query)
@@ -471,15 +478,10 @@ class MajorityAmplified(Scheme):
 
     def wrong_counts(self, queries, pattern, limit: int) -> List[Optional[Tuple[int, int]]]:
         """Exact wherever the inner scheme's wrong_counts is: the t runs
-        use independent coins, so the majority is wrong with
-        majority_error(inner error, t)."""
-        out: List[Optional[Tuple[int, int]]] = []
-        for counted in self.inner.wrong_counts(self.checked(queries), pattern, limit):
-            if counted is not None:
-                coins, wrong = counted
-                counted = (coins**self.t, int(coins**self.t * majority_error(Fraction(wrong, coins), self.t)))
-            out.append(counted)
-        return out
+        use independent coins, so the majority is wrong on
+        majority_wrong([wrong], coins, t) of the coins**t tuples."""
+        t, counts = self.t, self.inner.wrong_counts(self.checked(queries), pattern, limit)
+        return [None if c is None else (c[0] ** t, majority_wrong([c[1]], c[0], t)) for c in counts]
 
     def queries(self):
         return self.inner.queries()
@@ -488,17 +490,6 @@ class MajorityAmplified(Scheme):
         out = dict(self.inner.params())
         out["t"] = self.t
         return out
-
-
-def majority_error(p: Fraction, t: int) -> Fraction:
-    """Exact probability that a majority of t iid Bernoulli(p) votes is wrong."""
-    if t < 1 or t % 2 == 0:
-        raise ParameterError("repetition count must be odd and positive")
-    p = Fraction(p)
-    q = 1 - p
-    return sum(
-        math.comb(t, k) * p**k * q ** (t - k) for k in range((t + 1) // 2, t + 1)
-    )
 
 
 # -- equality ---------------------------------------------------------

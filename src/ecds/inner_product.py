@@ -28,7 +28,7 @@ from .bits import (
     split_query,
 )
 from .errors import InfeasibleSizeError, ParameterError
-from .hadamard import MAX_EXPONENT, HadamardCode, PairReads, PairReadScheme, xor_all
+from .hadamard import MAX_EXPONENT, HadamardCode, PairReads, PairReadScheme, repetition_count, xor_all
 from .oracle import MC_BLOCK, Codeword, Scheme
 
 
@@ -49,6 +49,9 @@ class LowWeightQueries(Scheme):
 
 
 # -- plain table ------------------------------------------------------
+
+# TableIp reads p cells, one per piece split_query builds in a loop over p
+MAX_TABLE_PROBES = 4096
 
 
 def table_ip_length(n: int, r: int, p: int = 1) -> int:
@@ -74,6 +77,8 @@ class TableIp(LowWeightQueries):
     header_fields = ("r", "p")
 
     def __init__(self, x: BitString, r: int, p: int = 1):
+        if p > MAX_TABLE_PROBES:
+            raise InfeasibleSizeError("%d probes is beyond desk scale" % p)
         if table_ip_length(x.n, r, p) > (1 << MAX_EXPONENT):
             raise InfeasibleSizeError("table would exceed desk scale")
         self.x = x
@@ -143,13 +148,11 @@ class SubstringHadamard(LowWeightQueries, PairReadScheme):
     attacks = ("piece_killer",)
 
     def __init__(self, x: BitString, r: int, t: int = 1):
-        if t < 1 or t % 2 == 0:
-            raise ParameterError("repetition count must be odd and positive")
         if not 1 <= r <= x.n:
             raise ParameterError("need 1 <= r <= n")
         self.x = x
         self.r = r
-        self.t = t
+        self.t = repetition_count(t)
         self.chunk = math.ceil(x.n / r)
         if self.chunk > MAX_EXPONENT:
             raise InfeasibleSizeError("piece length 2^%d is beyond desk scale" % self.chunk)
@@ -228,6 +231,9 @@ def poly_ip_geometry(n: int, r: int, p: int) -> Dict[str, int]:
     if not 1 <= r <= n:
         raise ParameterError("need 1 <= r <= n")
     d = p - 1
+    # the exponent d*r*m is at least d*d*r, as m >= d: refuse before d^d
+    if d * d * r > MAX_EXPONENT:
+        raise InfeasibleSizeError("share space 2^%d or more is beyond desk scale" % (d * d * r))
     m = _poly_m(n, d)
     if math.comb(m, d) < n:
         raise InfeasibleSizeError("not enough degree-%d monomials over %d variables" % (d, m))

@@ -527,8 +527,8 @@ class BlockCodedMembership:
         report: Optional[ComposedBuildReport] = None,
     ):
         n_prime = base.n_prime
-        if n_prime % a:
-            raise ParameterError("vector length must be a whole number of blocks")
+        if a < 1 or n_prime % a:
+            raise ParameterError("need a >= 1 dividing the vector length into whole blocks")
         perm = np.asarray(perm)
         if perm.dtype.kind not in "biu" or not np.array_equal(np.sort(perm), np.arange(n_prime)):
             raise ParameterError("perm must be a permutation of 0..n_prime-1")

@@ -26,7 +26,7 @@ from ecds.bounds import (
 from ecds.hadamard import (
     EqualityScheme,
     HadamardIp,
-    majority_error,
+    majority_wrong,
 )
 from ecds.harness import AdversaryStrategy, attack, estimate_error
 from ecds.inner_product import PolySharedIp, SubstringHadamard, TableIp, table_ip_length
@@ -317,7 +317,7 @@ def test_criterion_07_impossibility_witnesses(one_probe_64):
         if err != Fraction(1, 2):
             failures.append("t=%d exact error %s" % (t, err))
     for t in range(5, 32, 2):
-        if majority_error(Fraction(1, 2), t) != Fraction(1, 2):
+        if 2 * majority_wrong([1], 2, t) != 2**t:
             failures.append("majority closed form off at t=%d" % t)
     sch = SubstringHadamard(x, 2, t=31)
     mc = estimate_error(

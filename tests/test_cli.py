@@ -8,6 +8,7 @@ import base64
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -786,3 +787,69 @@ def test_malformed_packed_array_is_refused(tmp_path, capsys, scheme, field, tamp
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "ParameterError"
     assert "packed array" in json.loads(err)["message"]
+
+
+@pytest.fixture
+def alarm():
+    """Fails a case still running after 10 s: a refusal must come before
+    any loop over the value it refuses."""
+
+    def expire(signum, frame):
+        pytest.fail("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def rewrite_header(path, **fields):
+    line, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(dict(json.loads(line), **fields)).encode() + b"\n" + payload)
+
+
+def assert_refused(capsys, code, argv, error):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("t", [1.5, True])
+def test_substring_header_repetition_must_be_an_integer(tmp_path, capsys, alarm, t):
+    """A substring file whose t is 1.5 or true exits 3, not with a
+    TypeError from the vote."""
+    path = tmp_path / "s.ecds"
+    run_json(capsys, "build", "--scheme", "substring", *SCHEME_FLAGS["substring"], "--out-file", str(path))
+    rewrite_header(path, t=t)
+    assert_refused(capsys, 3, ["decode", "--structure", str(path), "--query", "1100"], "ParameterError")
+
+
+def test_composed_header_with_zero_block_bits_is_refused(tmp_path, capsys, alarm):
+    """A mem-composed file whose a is 0 exits 3, not with a
+    ZeroDivisionError cutting its vector into blocks."""
+    path = tmp_path / "m.ecds"
+    run_json(capsys, "build", "--scheme", "mem-composed", *SCHEME_FLAGS["mem-composed"], "--out-file", str(path))
+    rewrite_header(path, a=0)
+    assert_refused(capsys, 3, ["decode", "--structure", str(path), "--query", "1"], "ParameterError")
+
+
+def test_table_probes_past_desk_scale_are_refused(tmp_path, capsys, alarm):
+    """ip-table with p = 2^70 exits 4 at build, saving nothing, and when
+    a file's header says so, instead of splitting each query in a loop
+    over p."""
+    path = tmp_path / "t.ecds"
+    argv = ["build", "--scheme", "ip-table", "--n", "6", "--r", "2", "--out-file", str(path)]
+    assert_refused(capsys, 4, [*argv, "--p", str(2**70)], "InfeasibleSizeError")
+    assert not path.exists()
+    run_json(capsys, *argv, "--p", "2")
+    rewrite_header(path, p=2**70)
+    assert_refused(capsys, 4, ["decode", "--structure", str(path), "--query", "110000"], "InfeasibleSizeError")
+
+
+def test_poly_probes_past_desk_scale_are_refused_before_the_geometry(tmp_path, capsys, alarm):
+    """ip-poly with p = 2^70 exits 4 before computing (p - 1)^(p - 1)."""
+    path = tmp_path / "p.ecds"
+    argv = ["build", "--scheme", "ip-poly", "--n", "4", "--r", "1", "--out-file", str(path)]
+    assert_refused(capsys, 4, [*argv, "--p", str(2**70)], "InfeasibleSizeError")
+    assert not path.exists()

@@ -25,9 +25,11 @@ from ecds.hadamard import (
     HadamardIp,
     MajorityAmplified,
     RandomLinearCode,
-    majority_error,
+    majority_wrong,
+    repetition_count,
 )
 from ecds.harness import AdversaryStrategy, _greedy_objective, attack
+from ecds.inner_product import SubstringHadamard
 from ecds.oracle import (
     Codeword,
     CorruptionPattern,
@@ -333,13 +335,37 @@ def test_probe_distribution_uniform():
         assert slot.pmf == {j: Fraction(1, 4) for j in (1, 2, 3, 4)}
 
 
+def majority_error(p: Fraction, t: int) -> Fraction:
+    """Reference: the exact probability that a majority of t iid
+    Bernoulli(p) votes is wrong, t odd."""
+    return sum(math.comb(t, k) * p**k * (1 - p) ** (t - k) for k in range((t + 1) // 2, t + 1))
+
+
 def test_majority_error_frozen_values():
+    """The Fraction reference at frozen values, and the integer count
+    the library votes with (majority_wrong) equal to it."""
     assert majority_error(Fraction(1, 4), 3) == Fraction(5, 32)
     assert majority_error(Fraction(1, 2), 5) == Fraction(1, 2)
     assert majority_error(Fraction(0), 7) == 0
     assert majority_error(Fraction(1), 3) == 1
+    for n, t in itertools.product((1, 2, 4, 7), (1, 3, 5, 7)):
+        for wrong in range(n + 1):
+            assert majority_wrong([wrong], n, t) == majority_error(Fraction(wrong, n), t) * n**t
     with pytest.raises(ParameterError):
-        majority_error(Fraction(1, 4), 2)
+        MajorityAmplified(HadamardIp(BitString.from01("1")), 2)
+
+
+@pytest.mark.parametrize("t", [0, -1, 2, 1.5, 3.0, True, "3", None])
+def test_repetition_count_is_an_odd_positive_int(t):
+    """Majority and substring share one check: a bool, a float or a
+    string is refused like an even count, not carried into a vote."""
+    with pytest.raises(ParameterError):
+        repetition_count(t)
+    with pytest.raises(ParameterError):
+        MajorityAmplified(HadamardIp(BitString.from01("1")), t)
+    with pytest.raises(ParameterError):
+        SubstringHadamard(BitString.from01("1011"), 2, t=t)
+    assert repetition_count(3) == 3
 
 
 def test_amplified_error_matches_binomial_tail():

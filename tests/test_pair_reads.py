@@ -76,6 +76,15 @@ INSTANCES = [
     ("substring-t1", lambda: SubstringHadamard(SUB_X, 3, t=1), SUB_QUERIES),
     ("substring-t3", lambda: SubstringHadamard(SUB_X, 3, t=3), SUB_QUERIES),
     ("majority-had-ip", lambda: MajorityAmplified(HadamardIp(_bits("101")), 3), _all(3)),
+    ("majority-had-ip-t5", lambda: MajorityAmplified(HadamardIp(_bits("101")), 5), _all(3)),
+    *(
+        (
+            "majority-composed-hand-" + decoder,
+            lambda decoder=decoder: MajorityAmplified(_hand_composed().instance(_bits("10"), decoder), 3),
+            [1, 2],
+        )
+        for decoder in ("block", "direct")
+    ),
     (
         "majority-substring",
         lambda: MajorityAmplified(SubstringHadamard(SUB_X, 3), 3),
@@ -226,10 +235,8 @@ def test_a_batch_with_one_bad_query_is_refused_before_any_count(
     assert calls == []
 
 
-def test_hadamard_ip_measurement_builds_its_reads_once(monkeypatch):
-    """A 256-query had-ip estimate_error describes its queries in one
-    reads call, not again per query for its coin count and truth; a
-    targeted greedy climb adds one more, for the one query it climbs on."""
+def counting_reads(monkeypatch):
+    """The batch size of every HadamardIp.reads call from here on."""
     calls = []
     reads = HadamardIp.reads
 
@@ -239,6 +246,14 @@ def test_hadamard_ip_measurement_builds_its_reads_once(monkeypatch):
         return reads(self, queries)
 
     monkeypatch.setattr(HadamardIp, "reads", counted)
+    return calls
+
+
+def test_hadamard_ip_measurement_builds_its_reads_once(monkeypatch):
+    """A 256-query had-ip estimate_error describes its queries in one
+    reads call, not again per query for its coin count and truth; a
+    targeted greedy climb adds one more, for the one query it climbs on."""
+    calls = counting_reads(monkeypatch)
     sch = HadamardIp(BitString.random(8, random.Random(3)))
     queries = list(sch.queries())
     strategy = AdversaryStrategy(kind="random_flips", budget=12, seed=1)
@@ -291,6 +306,19 @@ def test_majority_refuses_wide_answers():
     one, zero = _bits("010000"), _bits("000000")
     assert sch.decode(sch.oracle(query=one), one, random.Random(0)) == sch.truth(one)
     assert sch.wrong_counts([zero, one], pattern, 0) == coin_tally(sch, [zero, one], pattern)
+
+
+def test_majority_counts_from_one_inner_reads_call(monkeypatch):
+    """A majority over had-ip counts all 256 queries of s = 8 from one
+    inner reads call: its one-bit check reads the answer type, not a
+    one-query truth per query."""
+    calls = counting_reads(monkeypatch)
+    sch = MajorityAmplified(HadamardIp(BitString.random(8, random.Random(8))), 3)
+    pattern = CorruptionPattern.random(sch.codeword.n, 12, random.Random(12))
+    counts = sch.wrong_counts(sch.queries(), pattern, 0)
+    assert calls == [256]
+    inner = sch.inner.wrong_counts(sch.queries(), pattern, 0)
+    assert counts == [(c**3, 3 * w * w * (c - w) + w**3) for c, w in inner]
 
 
 def test_hadamard_ip_counts_all_queries_in_one_call(monkeypatch):
