@@ -51,7 +51,6 @@ from .inner_product import (
     PolySharedIp,
     SubstringHadamard,
     TableIp,
-    poly_ip_length,
     substring_length,
     table_ip_length,
 )

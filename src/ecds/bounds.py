@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bits import BoundedWeightSpace, ball_size
-from .errors import InfeasibleSizeError, ParameterError
+from .errors import InfeasibleSizeError, ParameterError, desk_scale, integer
 from .seeding import derive_seed
 
 MATRIX_MAX_N = 12
@@ -61,9 +61,7 @@ def binary_entropy(x: float) -> float:
 
 def _ip_ball(n: int, r: int) -> int:
     """B(n, r), the query count of the inner-product bounds."""
-    if not 0 <= r <= n:
-        raise ParameterError("need 0 <= r <= n")
-    return ball_size(n, r)
+    return ball_size(n, integer(r, "0 <= r <= n", 0, n))
 
 
 def ip_comm_lower_bound(n: int, r: int, beta) -> BoundReport:
@@ -90,8 +88,7 @@ def ip_ds_lower_bound(n: int, r: int, eps, p: int) -> BoundReport:
     eps = Fraction(eps)
     if not 0 <= eps < Fraction(1, 2):
         raise ParameterError("need 0 <= eps < 1/2")
-    if p < 1:
-        raise ParameterError("need p >= 1")
+    integer(p, "p >= 1", 1)
     b = _ip_ball(n, r)
     gap = 1 - 2 * eps
     exponent = (math.log2(b) - 2 * math.log2(1 / gap) - 1) / p
@@ -123,9 +120,7 @@ def one_probe_noise_threshold(delta: float, eps: float) -> BoundReport:
 
 def membership_trivial_lb(n: int, s: int) -> BoundReport:
     """Information floor for membership structures: log2 B(n,s) bits."""
-    if not 0 <= s <= n:
-        raise ParameterError("need 0 <= s <= n")
-    b = ball_size(n, s)
+    b = ball_size(n, integer(s, "0 <= s <= n", 0, n))
     value = math.log2(b)
     exact = Fraction(value) if b & (b - 1) == 0 else None
     return BoundReport(
@@ -226,8 +221,7 @@ def discrepancy_verify(
         sums = (va @ m @ vb.T).ravel()
         area = np.outer(va.sum(axis=1), vb.sum(axis=1)).ravel()
     else:
-        if samples < 1:
-            raise ParameterError("need samples >= 1")
+        desk_scale("sampled rectangle entries", integer(samples, "samples >= 1", 1) * (rows + cols))
         rng = np.random.default_rng(derive_seed("discrepancy", seed, n, r))
         va, vb = np.hsplit(rng.integers(0, 2, size=(samples, rows + cols)), [rows])
         sums = ((va @ m) * vb).sum(axis=1)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 from typing import Dict, List, Optional
 
 from .bits import BitString
@@ -25,9 +26,9 @@ from .errors import (
     ParameterError,
     VerificationError,
 )
-from .hadamard import EqualityScheme, HadamardIp, RandomLinearCode
+from .hadamard import EqualityScheme, HadamardCode, HadamardIp, RandomLinearCode
 from .harness import ADVERSARY_KINDS, AdversaryStrategy, attack, estimate_error, sweep
-from .inner_product import PolySharedIp, SubstringHadamard, TableIp
+from .inner_product import PolySharedIp, SubstringHadamard, TableIp, poly_ip_geometry, substring_length, table_ip_length
 from .membership import BlockCodedMembership, OneProbeMembership
 from .oracle import CorruptionPattern, ProbeOracle
 from .seeding import stream
@@ -51,6 +52,9 @@ SCHEMES = (
 
 ENV_SEED = "ECDS_SEED"
 
+# the most queries one request may select
+MAX_QUERIES = 4096
+
 
 def _default_seed() -> int:
     raw = os.environ.get(ENV_SEED)
@@ -62,57 +66,55 @@ def _default_seed() -> int:
         raise ParameterError("%s must be an integer, got %r" % (ENV_SEED, raw))
 
 
-def _random_data(scheme_id: str, cfg: Dict, seed: int) -> BitString:
-    rng = stream("data", seed)
-    n = cfg["n"]
-    if scheme_id in ("mem-1p", "mem-composed"):
-        s = cfg.get("s", 1)
-        support = rng.sample(range(1, n + 1), min(s, n))
-        return BitString.from_indices(n, support)
-    return BitString.random(n, rng)
-
-
 def make_scheme(cfg: Dict, seed: int):
-    """Build a scheme instance from a flat config mapping."""
+    """Build a scheme instance from a flat config mapping.  The scheme's
+    length function checks its flags before data() draws the data."""
     scheme_id = cfg.get("scheme")
     if scheme_id not in SCHEMES:
         raise ParameterError("unknown scheme %r (choose from %s)" % (scheme_id, ", ".join(SCHEMES)))
     if "n" not in cfg or cfg["n"] is None:
         raise ParameterError("--n is required to build a scheme")
-    x = (
-        BitString.from01(cfg["x"])
-        if cfg.get("x")
-        else _random_data(scheme_id, cfg, seed)
-    )
-    if x.n != cfg["n"]:
-        raise ParameterError("data length does not match --n")
+    n = cfg["n"]
+
+    def data() -> BitString:
+        """--x, or bits drawn from the seed (a set of at most s members for membership)."""
+        if cfg.get("x"):
+            x = BitString.from01(cfg["x"])
+        elif scheme_id in ("mem-1p", "mem-composed"):
+            x = BitString.from_indices(n, stream("data", seed).sample(range(1, n + 1), min(cfg.get("s", 1), n)))
+        else:
+            x = BitString.random(n, stream("data", seed))
+        if x.n != n:
+            raise ParameterError("data length does not match --n")
+        return x
+
     if scheme_id == "had-ip":
-        return HadamardIp(x)
+        HadamardCode(n)
+        return HadamardIp(data())
     if scheme_id == "equality":
         if cfg.get("code") == "linear":
             length = cfg.get("code_length")
             if not length:
                 raise ParameterError("--code-length is required for the linear code")
-            code = RandomLinearCode(x.n, length, rng=stream("code", seed))
-            return EqualityScheme(x, code=code, balanced=not cfg.get("raw", False))
-        return EqualityScheme(x, balanced=not cfg.get("raw", False))
+            code = RandomLinearCode(n, length, rng=stream("code", seed))
+        else:
+            code = HadamardCode(n)
+        return EqualityScheme(data(), code=code, balanced=not cfg.get("raw", False))
     if scheme_id == "ip-table":
-        return TableIp(x, _require(cfg, "r"), **_given(cfg, "p"))
+        table_ip_length(n, _require(cfg, "r"), **_given(cfg, "p"))
+        return TableIp(data(), cfg["r"], **_given(cfg, "p"))
     if scheme_id == "ip-poly":
         # PolySharedIp has no default p; two blocks is the smallest
-        p = cfg.get("p")
-        return PolySharedIp(x, _require(cfg, "r"), 2 if p is None else p)
+        p = 2 if cfg.get("p") is None else cfg["p"]
+        poly_ip_geometry(n, _require(cfg, "r"), p)
+        return PolySharedIp(data(), cfg["r"], p)
     if scheme_id == "substring":
-        return SubstringHadamard(x, _require(cfg, "r"), **_given(cfg, "t"))
+        substring_length(n, _require(cfg, "r"), **_given(cfg, "t"))
+        return SubstringHadamard(data(), cfg["r"], **_given(cfg, "t"))
     if scheme_id == "mem-1p":
-        st = OneProbeMembership.build(
-            cfg["n"], _require(cfg, "s"), seed=seed, **_given(cfg, "eps")
-        )
-        return st.instance(x)
-    st = BlockCodedMembership.build(
-        cfg["n"], _require(cfg, "s"), seed=seed, **_given(cfg, "eps", "a", "b")
-    )
-    return st.instance(x, **_given(cfg, "decoder"))
+        return OneProbeMembership.build(n, _require(cfg, "s"), seed=seed, **_given(cfg, "eps")).instance(data())
+    st = BlockCodedMembership.build(n, _require(cfg, "s"), seed=seed, **_given(cfg, "eps", "a", "b"))
+    return st.instance(data(), **_given(cfg, "decoder"))
 
 
 def _require(cfg: Dict, key: str):
@@ -127,21 +129,19 @@ def _given(cfg: Dict, *keys: str) -> Dict:
 
 
 def pick_queries(scheme, selector: str, seed: int) -> List:
-    """Query selection: 'all', 'sample:K' or a comma-separated list, never empty."""
+    """Query selection: 'all', 'sample:K' or a comma-separated list, never
+    empty and never more than MAX_QUERIES."""
     if selector == "all":
-        out = list(scheme.queries())
-        if len(out) > 4096:
-            raise ParameterError(
-                "%d queries is too many for 'all'; use sample:K" % len(out)
-            )
+        out = list(islice(scheme.queries(), MAX_QUERIES + 1))
     elif selector.startswith("sample:"):
-        k = int(selector.split(":", 1)[1])
         rng = stream("queries", seed)
-        out = [scheme.random_query(rng) for _ in range(k)]
+        out = [scheme.random_query(rng) for _ in range(min(int(selector.split(":", 1)[1]), MAX_QUERIES + 1))]
     else:
         out = [scheme.parse_query(part) for part in selector.split(",") if part]
     if not out:
         raise ParameterError("query selector %r selects no queries" % selector)
+    if len(out) > MAX_QUERIES:
+        raise ParameterError("query selector %r selects too many queries, more than %d" % (selector, MAX_QUERIES))
     return out
 
 
@@ -313,9 +313,8 @@ def cmd_bounds(args) -> int:
     elif f == "membership":
         body = bounds_mod.membership_trivial_lb(args.n, args.s).to_dict()
     elif f == "discrepancy":
-        body = bounds_mod.discrepancy_verify(
-            args.n, args.r, samples=args.samples, seed=args.seed or 0
-        ).to_dict()
+        seed = args.seed if args.seed is not None else _default_seed()
+        body = bounds_mod.discrepancy_verify(args.n, args.r, samples=args.samples, seed=seed).to_dict()
     else:
         raise ParameterError("unknown bounds formula %r" % (f,))
     body["config"] = _config_echo(args)

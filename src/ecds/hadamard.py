@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .bits import BitString
-from .errors import InfeasibleSizeError, ParameterError
+from .errors import MAX_EXPONENT, InfeasibleSizeError, ParameterError, desk_scale, integer
 from .oracle import (
     MC_BLOCK,
     Codeword,
@@ -30,10 +30,6 @@ from .oracle import (
     flip_mask,
     packed_bits,
 )
-
-# 2^26 bits = 8 MiB packed, encoded with a peak of about 21 MiB in tens
-# of milliseconds; beyond that, refuse
-MAX_EXPONENT = 26
 
 
 def _codewords(s: int) -> List[int]:
@@ -59,7 +55,8 @@ class HadamardCode:
     equality code its balance defect gamma is zero.  Codewords are built
     as packed bytes, never one entry per position: `encode` builds one
     (had-ip, equality, and their loads), `encode_blocks` many at once
-    (substring pieces and composed membership blocks).
+    (substring pieces and composed membership blocks).  The constructor
+    is the parameter check of had-ip and Hadamard equality.
     """
 
     gamma = Fraction(0)
@@ -425,13 +422,6 @@ class HadamardIp(PairReadScheme):
         return {"s": self.x.n, "x": self.x.to01()}
 
 
-def repetition_count(t) -> int:
-    """t, the votes of a majority, refused unless an odd positive int (not a bool)."""
-    if type(t) is not int or t < 1 or t % 2 == 0:
-        raise ParameterError("repetition count must be an odd positive integer, got %r" % (t,))
-    return t
-
-
 class MajorityAmplified(Scheme):
     """Runs an inner bit-valued scheme t times and takes the majority.
 
@@ -440,7 +430,7 @@ class MajorityAmplified(Scheme):
     """
 
     def __init__(self, inner: Scheme, t: int):
-        self.t = repetition_count(t)
+        self.t = integer(t, "an odd repetition count t >= 1", 1, odd=True)
         self.inner = inner
         self.name = inner.name + "-maj%d" % t
         self.codeword = inner.codeword
@@ -500,7 +490,8 @@ class RandomLinearCode:
 
     gamma is the defect 1/2 - dmin/length, clamped at zero; the equality
     scheme's error bound degrades by 2*gamma/3 relative to a perfectly
-    balanced code.
+    balanced code.  The constructor is linear equality's parameter
+    check: its distance check reads 2^s messages of `length` bits.
     """
 
     def __init__(
@@ -509,12 +500,8 @@ class RandomLinearCode:
         length: int,
         rng=None,
         rows: Optional[Sequence[BitString]] = None,
-        distance_limit: int = 1 << 20,
     ):
-        if s < 1 or length < 1:
-            raise ParameterError("need s >= 1 and length >= 1")
-        if (1 << s) > distance_limit:
-            raise InfeasibleSizeError("distance check enumerates 2^s messages")
+        desk_scale("linear code distance check", integer(length, "length >= 1", 1), integer(s, "s >= 1", 1))
         self.s = s
         self.length = length
         if rows is not None:
@@ -575,8 +562,10 @@ class EqualityScheme(Scheme):
     def __init__(self, x: BitString, code=None, balanced: bool = True):
         self.x = x
         self.code = code if code is not None else HadamardCode(x.n)
-        if getattr(self.code, "s", x.n) != x.n:
+        if self.code.s != x.n:
             raise ParameterError("code message length does not match x")
+        if type(balanced) is not bool:
+            raise ParameterError("need balanced true or false, got %r" % (balanced,))
         self.balanced = balanced
         self.codeword = Codeword(self.code.encode(x))
         self.name = "equality-balanced" if balanced else "equality-raw"
@@ -592,9 +581,10 @@ class EqualityScheme(Scheme):
         desc = head["code"]
         if desc["kind"] == "hadamard":
             code = HadamardCode(desc["s"])
+        elif desc["kind"] == "random-linear":
+            code = RandomLinearCode(desc["s"], desc["length"], rows=[BitString.from01(r) for r in head["rows"]])
         else:
-            rows = [BitString.from01(r) for r in head["rows"]]
-            code = RandomLinearCode(desc["s"], desc["length"], rows=rows)
+            raise ParameterError("unknown code kind %r" % (desc["kind"],))
         return cls(BitString.from01(head["x"]), code=code, balanced=head["balanced"])
 
     @property

@@ -27,8 +27,8 @@ from .bits import (
     dot_mod2,
     split_query,
 )
-from .errors import InfeasibleSizeError, ParameterError
-from .hadamard import MAX_EXPONENT, HadamardCode, PairReads, PairReadScheme, repetition_count, xor_all
+from .errors import MAX_EXPONENT, InfeasibleSizeError, ParameterError, desk_scale, integer
+from .hadamard import HadamardCode, PairReads, PairReadScheme, xor_all
 from .oracle import MC_BLOCK, Codeword, Scheme
 
 
@@ -55,13 +55,17 @@ MAX_TABLE_PROBES = 4096
 
 
 def table_ip_length(n: int, r: int, p: int = 1) -> int:
-    """Length of the p-probe table structure: one bit per piece of
-    weight <= ceil(r/p)."""
-    if p < 1:
-        raise ParameterError("need p >= 1")
-    if not 0 <= r <= n:
-        raise ParameterError("need 0 <= r <= n")
-    return ball_size(n, math.ceil(r / p))
+    """Length of the p-probe table structure, one bit per piece of weight
+    <= ceil(r/p).  ip-table's parameter check, on r, p and the desk scale
+    of the table and of the n data bits its file holds."""
+    integer(r, "0 <= r <= n", 0, n)
+    integer(p, "p >= 1", 1)
+    if p > MAX_TABLE_PROBES:
+        raise InfeasibleSizeError("%d probes is beyond desk scale" % p)
+    # a weight past MAX_EXPONENT + 1 only adds to a ball already past desk scale
+    length = ball_size(n, min(-(-r // p), MAX_EXPONENT + 1))
+    desk_scale("ip-table length", max(length, n))
+    return length
 
 
 class TableIp(LowWeightQueries):
@@ -77,10 +81,7 @@ class TableIp(LowWeightQueries):
     header_fields = ("r", "p")
 
     def __init__(self, x: BitString, r: int, p: int = 1):
-        if p > MAX_TABLE_PROBES:
-            raise InfeasibleSizeError("%d probes is beyond desk scale" % p)
-        if table_ip_length(x.n, r, p) > (1 << MAX_EXPONENT):
-            raise InfeasibleSizeError("table would exceed desk scale")
+        table_ip_length(x.n, r, p)
         self.x = x
         self.r = r
         self.p = p
@@ -124,10 +125,11 @@ class TableIp(LowWeightQueries):
 # -- substring via concatenated Hadamard pieces -----------------------
 
 
-def substring_length(n: int, r: int) -> int:
-    if not 1 <= r <= n:
-        raise ParameterError("need 1 <= r <= n")
-    return r * (1 << math.ceil(n / r))
+def substring_length(n: int, r: int, t: int = 1) -> int:
+    """Length of r Hadamard pieces of ceil(n/r) bits each: substring's
+    parameter check, on r, t and the pieces' desk scale."""
+    integer(t, "an odd repetition count t >= 1", 1, odd=True)
+    return desk_scale("substring length", integer(r, "1 <= r <= n", 1, n), -(-n // r))
 
 
 class SubstringHadamard(LowWeightQueries, PairReadScheme):
@@ -148,14 +150,11 @@ class SubstringHadamard(LowWeightQueries, PairReadScheme):
     attacks = ("piece_killer",)
 
     def __init__(self, x: BitString, r: int, t: int = 1):
-        if not 1 <= r <= x.n:
-            raise ParameterError("need 1 <= r <= n")
+        substring_length(x.n, r, t)
         self.x = x
         self.r = r
-        self.t = repetition_count(t)
-        self.chunk = math.ceil(x.n / r)
-        if self.chunk > MAX_EXPONENT:
-            raise InfeasibleSizeError("piece length 2^%d is beyond desk scale" % self.chunk)
+        self.t = t
+        self.chunk = -(-x.n // r)
         self.code = HadamardCode(self.chunk)
         self.piece_len = self.code.length
         # piece k (0-based) encodes bits k*c+1..(k+1)*c of x zero-padded on
@@ -225,30 +224,24 @@ def _poly_m(n: int, d: int) -> int:
 
 def poly_ip_geometry(n: int, r: int, p: int) -> Dict[str, int]:
     """Degree, variable count, block length and total length of the
-    p-block shared-polynomial structure."""
-    if p < 2:
-        raise ParameterError("need p >= 2")
-    if not 1 <= r <= n:
-        raise ParameterError("need 1 <= r <= n")
+    p-block shared-polynomial structure: ip-poly's parameter check, on r,
+    p and the blocks' desk scale."""
+    integer(r, "1 <= r <= n", 1, n)
+    integer(p, "p >= 2", 2)
     d = p - 1
-    # the exponent d*r*m is at least d*d*r, as m >= d: refuse before d^d
-    if d * d * r > MAX_EXPONENT:
-        raise InfeasibleSizeError("share space 2^%d or more is beyond desk scale" % (d * d * r))
-    m = _poly_m(n, d)
-    if math.comb(m, d) < n:
-        raise InfeasibleSizeError("not enough degree-%d monomials over %d variables" % (d, m))
-    exp = (p - 1) * r * m
+    # m >= d and 2^m >= n: a share space already beyond desk scale at
+    # that m is refused before m, which takes d^d
+    desk_scale("ip-poly length", p, d * r * max(d, n.bit_length() - 1))
+    m = _poly_m(n, d)  # m^d >= d^d n, so C(m, d) >= (m/d)^d >= n monomials
+    exp = d * r * m
+    length = desk_scale("ip-poly length", p, exp)
     return {
         "d": d,
         "m": m,
         "exponent": exp,
         "block_length": 1 << exp,
-        "length": p * (1 << exp),
+        "length": length,
     }
-
-
-def poly_ip_length(n: int, r: int, p: int) -> int:
-    return poly_ip_geometry(n, r, p)["length"]
 
 
 class PolySharedIp(LowWeightQueries):
@@ -281,10 +274,6 @@ class PolySharedIp(LowWeightQueries):
         self.m = geo["m"]
         self.exponent = geo["exponent"]
         self.block_length = geo["block_length"]
-        if self.exponent > MAX_EXPONENT:
-            raise InfeasibleSizeError(
-                "share space 2^%d is beyond desk scale" % self.exponent
-            )
         self.subsets: List[Tuple[int, ...]] = list(
             islice(combinations(range(1, self.m + 1), self.d), x.n + 1)
         )

@@ -42,8 +42,10 @@ from .errors import (
     InfeasibleSizeError,
     ParameterError,
     VerificationError,
+    desk_scale,
+    integer,
 )
-from .hadamard import MAX_EXPONENT, HadamardCode, PairReads, PairReadScheme, xor_all
+from .hadamard import HadamardCode, PairReads, PairReadScheme, xor_all
 from .oracle import Codeword, Scheme, packed_bits
 from .seeding import derive_seed
 
@@ -52,16 +54,25 @@ from .seeding import derive_seed
 _CHUNK_BYTES = 1 << 20
 
 
-def default_probe_params(n: int, s: int, eps: float) -> Tuple[int, int]:
-    """Vector length and probe-set size giving the 1-eps agreement
-    guarantee with room to spare: n' = ceil((100/eps^2) s log2 n),
-    d = ceil(log2(n)/eps)."""
-    if n < 2 or s < 1:
-        raise ParameterError("need n >= 2 and s >= 1")
+def probe_params(n: int, s: int, eps: float, n_prime: Optional[int] = None, d: Optional[int] = None) -> Tuple[int, int]:
+    """Vector length n' (the stored length) and probe-set size d over [n]
+    for data of weight <= s, each by default the value giving the 1-eps
+    agreement guarantee with room to spare (n >= 2): n' = ceil((100/eps^2)
+    s log2 n), d = ceil(log2(n)/eps).  The membership kinds' parameter
+    check, on n, s, eps, n', d and the desk scale of the vector and the
+    n*d probe-set table."""
+    integer(n, "n >= 1", 1)
+    integer(s, "s >= 1", 1)
     if not 0 < eps < 1:
-        raise ParameterError("need 0 < eps < 1")
-    n_prime = math.ceil((100 / eps**2) * s * math.log2(n))
-    d = math.ceil(math.log2(n) / eps)
+        raise ParameterError("need 0 < eps < 1, got %r" % (eps,))
+    try:  # a default past any float is past desk scale too
+        n_prime = math.ceil((100 / eps**2) * s * math.log2(n)) if n_prime is None else n_prime
+        d = math.ceil(math.log2(n) / eps) if d is None else d
+    except (OverflowError, ZeroDivisionError):
+        raise InfeasibleSizeError("the default n' or d for n=%d, s=%d, eps=%r is beyond desk scale" % (n, s, eps)) from None
+    integer(n_prime, "n' >= 1", 1)
+    integer(d, "1 <= d <= n'", 1, n_prime)
+    desk_scale("membership vector or probe-set table", max(n_prime, n * d))
     return n_prime, d
 
 
@@ -126,13 +137,13 @@ class OneProbeMembership:
         n_prime: int,
         report: Optional[MembershipBuildReport] = None,
     ):
+        n_prime, self.d = probe_params(n, s, eps, n_prime, len(probe_sets[0]) if len(probe_sets) else 0)
         if len(probe_sets) != n:
             raise ParameterError("need one probe set per universe element")
         self.n = n
         self.s = s
         self.eps = eps
         self.n_prime = n_prime
-        self.d = len(probe_sets[0]) if len(probe_sets) else 0
         try:
             arr = np.asarray(probe_sets).reshape(n, self.d)
             if arr.size and arr.dtype.kind not in "biu":  # floats, strings, objects
@@ -187,15 +198,8 @@ class OneProbeMembership:
     ) -> "OneProbeMembership":
         """Sample probe sets and verify; resample on failure, up to
         `retries` attempts, then give up with ConstructionError."""
-        if n < 1 or s < 1 or not 0 < eps < 1:
-            raise ParameterError("need n >= 1, s >= 1 and 0 < eps < 1")
         overridden = n_prime is not None or d is not None
-        if n_prime is None or d is None:  # the defaults also need n >= 2
-            dn_prime, dd = default_probe_params(n, s, eps)
-            n_prime = n_prime if n_prime is not None else dn_prime
-            d = d if d is not None else dd
-        if d > n_prime:
-            raise ParameterError("probe sets cannot exceed the vector length")
+        n_prime, d = probe_params(n, s, eps, n_prime, d)
         dom = tuple(domain) if domain is not None else tuple(range(1, n + 1))
         last: Optional[VerificationReport] = None
         for attempt in range(retries):
@@ -487,6 +491,17 @@ class MembershipInstance(IndexQueries):
 # -- block-composed variant -------------------------------------------
 
 
+def block_layout(n_prime: int, a: int) -> Tuple[int, int]:
+    """The b blocks of a bits that n' positions are cut into, and their
+    Hadamard-coded length b*2^a: the composed kind's parameter check
+    beside its base's `probe_params`, on a and the blocks' desk scale."""
+    integer(a, "a >= 1", 1)
+    b, rest = divmod(n_prime, a)
+    if rest:
+        raise ParameterError("need a dividing the vector length %d into whole blocks" % n_prime)
+    return b, desk_scale("membership-composed length", b, a)
+
+
 @dataclass(frozen=True)
 class ComposedBuildReport:
     public_n: int
@@ -526,21 +541,16 @@ class BlockCodedMembership:
         a: int,
         report: Optional[ComposedBuildReport] = None,
     ):
-        n_prime = base.n_prime
-        if a < 1 or n_prime % a:
-            raise ParameterError("need a >= 1 dividing the vector length into whole blocks")
+        self.b, self.length = block_layout(base.n_prime, a)
+        integer(public_n, "1 <= public_n <= universe", 1, base.n)
         perm = np.asarray(perm)
-        if perm.dtype.kind not in "biu" or not np.array_equal(np.sort(perm), np.arange(n_prime)):
+        if perm.dtype.kind not in "biu" or not np.array_equal(np.sort(perm), np.arange(base.n_prime)):
             raise ParameterError("perm must be a permutation of 0..n_prime-1")
-        if public_n > base.n:
-            raise ParameterError("public domain exceeds the universe")
         self.public_n = public_n
         self.base = base
         self.a = a
-        self.b = n_prime // a
         self.perm = perm.astype(np.int64)
         self.code = HadamardCode(a)
-        self.length = self.b * self.code.length
         self.report = report
         # the shuffled positions of each public P_i, and per element whether
         # no other element of P_i shares its block
@@ -579,10 +589,7 @@ class BlockCodedMembership:
         retries: int = OneProbeMembership.GRAPH_RETRIES,
         verify_limit: int = 100_000,
     ) -> "BlockCodedMembership":
-        if a < 1 or b < 1:
-            raise ParameterError("need a >= 1 and b >= 1")
-        if a > MAX_EXPONENT:
-            raise InfeasibleSizeError("block length 2^%d is beyond desk scale" % a)
+        block_layout(integer(a, "a >= 1", 1) * integer(b, "b >= 1", 1), a)
         base = OneProbeMembership.build(
             public_n,
             s,

@@ -8,7 +8,6 @@ import base64
 import json
 import os
 import shlex
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -789,21 +788,6 @@ def test_malformed_packed_array_is_refused(tmp_path, capsys, scheme, field, tamp
     assert "packed array" in json.loads(err)["message"]
 
 
-@pytest.fixture
-def alarm():
-    """Fails a case still running after 10 s: a refusal must come before
-    any loop over the value it refuses."""
-
-    def expire(signum, frame):
-        pytest.fail("still running after 10 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(10)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 def rewrite_header(path, **fields):
     line, payload = path.read_bytes().split(b"\n", 1)
     path.write_bytes(json.dumps(dict(json.loads(line), **fields)).encode() + b"\n" + payload)
@@ -853,3 +837,51 @@ def test_poly_probes_past_desk_scale_are_refused_before_the_geometry(tmp_path, c
     argv = ["build", "--scheme", "ip-poly", "--n", "4", "--r", "1", "--out-file", str(path)]
     assert_refused(capsys, 4, [*argv, "--p", str(2**70)], "InfeasibleSizeError")
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scheme", "had-ip", "--n", str(10**11)],
+        ["--scheme", "mem-1p", "--n", str(10**9), "--s", "1"],
+        ["--scheme", "mem-composed", "--n", "64", "--s", "2", "--b", str(10**8)],
+        ["--scheme", "mem-composed", "--n", "16", "--s", "1", "--eps", "0.4", "--a", "26", "--b", "400"],
+        ["--scheme", "substring", "--n", str(2 * 10**8), "--r", str(2 * 10**8)],
+        ["--scheme", "equality", "--n", "4", "--code", "linear", "--code-length", str(4 * 10**9)],
+    ],
+    ids=["had-ip-data", "mem-1p-table", "mem-composed-blocks", "mem-composed-block-bits",
+         "substring-pieces", "equality-code-length"],
+)
+def test_build_past_desk_scale_is_refused_before_the_data(tmp_path, capsys, alarm, argv):
+    """Each kind's length function runs before its data is drawn or
+    anything is allocated: these builds once drew 10^11 bits, filled a
+    23.8 GiB probe-set table, ran past 20 s or overflowed, and now exit
+    4 with nothing saved."""
+    path = tmp_path / "x.ecds"
+    assert_refused(capsys, 4, ["build", *argv, "--out-file", str(path)], "InfeasibleSizeError")
+    assert not path.exists()
+
+
+def test_sampled_queries_are_capped_like_all(capsys, alarm):
+    """sample:K past MAX_QUERIES exits 3 before drawing, as 'all' does."""
+    argv = ["experiment", "--scheme", "had-ip", "--n", "4", "--trials", "10", "--queries"]
+    assert_refused(capsys, 3, [*argv, "sample:100000000"], "ParameterError")
+    assert len(run_json(capsys, *argv, "sample:4096")["results"]) == 4096
+
+
+def test_bounds_discrepancy_reads_the_seed_from_the_environment(capsys, monkeypatch):
+    """Without --seed, bounds discrepancy takes ECDS_SEED, like every
+    other subcommand."""
+    argv = ["bounds", "discrepancy", "--n", "4", "--r", "2", "--samples", "400"]
+    monkeypatch.setenv("ECDS_SEED", "5")
+    from_env = run_json(capsys, *argv)
+    assert from_env["inputs"]["seed"] == 5
+    monkeypatch.delenv("ECDS_SEED")
+    assert from_env["max_ratio"] == run_json(capsys, *argv, "--seed", "5")["max_ratio"]
+    assert from_env["max_ratio"] != run_json(capsys, *argv)["max_ratio"]
+
+
+def test_bounds_discrepancy_samples_past_desk_scale_are_refused(capsys, alarm):
+    """--samples 10^10 exits 4 before drawing 21 TiB of rectangles."""
+    argv = ["bounds", "discrepancy", "--n", "8", "--r", "2", "--samples", str(10**10)]
+    assert_refused(capsys, 4, argv, "InfeasibleSizeError")

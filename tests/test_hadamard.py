@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecds.bits import BitString, dot_mod2
-from ecds.errors import InfeasibleSizeError, ParameterError
+from ecds.errors import InfeasibleSizeError, ParameterError, integer
 from ecds.hadamard import (
     EqualityScheme,
     HadamardCode,
@@ -26,7 +26,6 @@ from ecds.hadamard import (
     MajorityAmplified,
     RandomLinearCode,
     majority_wrong,
-    repetition_count,
 )
 from ecds.harness import AdversaryStrategy, _greedy_objective, attack
 from ecds.inner_product import SubstringHadamard
@@ -360,12 +359,12 @@ def test_repetition_count_is_an_odd_positive_int(t):
     """Majority and substring share one check: a bool, a float or a
     string is refused like an even count, not carried into a vote."""
     with pytest.raises(ParameterError):
-        repetition_count(t)
+        integer(t, "an odd t >= 1", 1, odd=True)
     with pytest.raises(ParameterError):
         MajorityAmplified(HadamardIp(BitString.from01("1")), t)
     with pytest.raises(ParameterError):
         SubstringHadamard(BitString.from01("1011"), 2, t=t)
-    assert repetition_count(3) == 3
+    assert integer(3, "an odd t >= 1", 1, odd=True) == 3
 
 
 def test_amplified_error_matches_binomial_tail():

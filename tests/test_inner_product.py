@@ -21,7 +21,6 @@ from ecds.inner_product import (
     TableIp,
     _poly_m,
     poly_ip_geometry,
-    poly_ip_length,
     substring_length,
     table_ip_length,
 )
@@ -91,6 +90,18 @@ def test_table_rejects_r_outside_0_to_n(r, p):
         TableIp(BitString.from01("1011"), r, p)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda x: TableIp(x, 1.5), lambda x: TableIp(x, 2, 1.0), lambda x: SubstringHadamard(x, True)],
+    ids=["table-r-float", "table-p-float", "substring-r-bool"],
+)
+def test_parameters_that_are_not_ints_are_refused(build):
+    """r = 1.5, p = 1.0 and r = True once built, and their reports said
+    so; the length functions take ints only."""
+    with pytest.raises(ParameterError):
+        build(BitString.from01("1011"))
+
+
 def test_table_rejects_bad_queries():
     sch = TableIp(BitString.from01("101"), 1, 1)
     with pytest.raises(ParameterError):
@@ -114,8 +125,8 @@ def test_poly_geometry_frozen():
     assert (g["d"], g["m"], g["length"]) == (1, 2, 8)
     g = poly_ip_geometry(4, 1, 3)
     assert (g["d"], g["m"], g["length"]) == (2, 4, 768)
-    assert poly_ip_length(2, 1, 2) == 8
-    assert poly_ip_length(4, 1, 3) == 768
+    assert poly_ip_geometry(2, 1, 2)["length"] == 8
+    assert poly_ip_geometry(4, 1, 3)["length"] == 768
     with pytest.raises(ParameterError):
         poly_ip_geometry(4, 1, 1)
 

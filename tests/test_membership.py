@@ -26,7 +26,7 @@ from ecds.membership import (
     ComposedInstance,
     MembershipInstance,
     OneProbeMembership,
-    default_probe_params,
+    probe_params,
 )
 from ecds.oracle import CorruptionPattern, corrupt, exact_error, probe_distribution
 from ecds.seeding import derive_seed, stream
@@ -34,12 +34,12 @@ from ecds.storage import save_structure
 
 
 def test_default_probe_params_frozen():
-    assert default_probe_params(64, 1, 0.1) == (60000, 60)
-    assert default_probe_params(64, 2, 0.25) == (19200, 24)
+    assert probe_params(64, 1, 0.1) == (60000, 60)
+    assert probe_params(64, 2, 0.25) == (19200, 24)
     with pytest.raises(ParameterError):
-        default_probe_params(1, 1, 0.1)
+        probe_params(1, 1, 0.1)
     with pytest.raises(ParameterError):
-        default_probe_params(8, 1, 1.0)
+        probe_params(8, 1, 1.0)
 
 
 def hand_structure(eps=0.4):
@@ -238,7 +238,7 @@ def test_noise_shifts_error_by_hit_count():
 def test_build_small_and_reproducible():
     st = OneProbeMembership.build(8, 1, eps=0.3, seed=42)
     rep = st.report
-    assert (rep.n_prime, rep.d) == default_probe_params(8, 1, 0.3)
+    assert (rep.n_prime, rep.d) == probe_params(8, 1, 0.3)
     assert rep.attempts >= 1 and not rep.overridden
     assert rep.verification.exhaustive
     assert rep.verification.violations == 0
@@ -716,7 +716,7 @@ def wide_composed(public_n, s, eps, a, b, seed):
 
 # (public_n, s, eps, a, b, seed); seed 60 of the first size, 14 and 13
 # of the others need 2, 3 and 4 verify attempts; one public index is a
-# base too small for default_probe_params, which both overrides skip
+# base too small for probe_params' defaults, which both overrides skip
 WIDE_CASES = [
     (1, 1, 0.4, 5, 40, 0),
     (16, 1, 0.4, 5, 40, 3),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ecds.bits import BitString
+from ecds.cli import main
 from ecds.errors import ParameterError
 from ecds.hadamard import EqualityScheme, HadamardIp, RandomLinearCode
 from ecds.harness import estimate_error
@@ -258,6 +259,46 @@ def test_malformed_files_are_refused(tmp_path, case):
     load = load_structure if case.startswith("structure") else load_pattern
     with pytest.raises(ParameterError, match=re.escape(path)):
         load(path)
+
+
+def saved_with(tmp_path, scheme, **fields):
+    """The file of `scheme`, its header's top-level fields replaced."""
+    path = tmp_path / "structure.ecds"
+    save_structure(str(path), scheme)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(dict(json.loads(line), **fields)).encode() + b"\n" + payload)
+    return path
+
+
+def assert_decode_refused(capsys, path, query, code, error):
+    got = main(["decode", "--structure", str(path), "--query", query])
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("eps", [0, -1])
+@pytest.mark.parametrize("kind", ["membership-1p", "membership-composed"])
+def test_membership_header_eps_outside_0_1_is_refused(tmp_path, capsys, alarm, kind, eps):
+    """A membership file whose eps is 0 or -1 exits 3 as a bad
+    parameter, not 5 from a failed verification: the structure's
+    constructor checks eps, as its build does."""
+    scheme = next(s for s in storable_schemes() if s.kind == kind)
+    assert_decode_refused(capsys, saved_with(tmp_path, scheme, eps=eps), "3", 3, "ParameterError")
+
+
+@pytest.mark.parametrize(
+    "code, exit_code, error",
+    [({"s": 2**70}, 4, "InfeasibleSizeError"), ({"kind": "x"}, 3, "ParameterError")],
+    ids=["s-2^70", "unknown-kind"],
+)
+def test_equality_header_code_is_checked(tmp_path, capsys, alarm, code, exit_code, error):
+    """An equality file whose linear code claims s = 2^70 exits 4, where
+    an OverflowError once escaped main, and one whose code kind is
+    unknown exits 3, where it was read as linear."""
+    scheme = EqualityScheme(BitString.from01("1011"), code=RandomLinearCode(4, 18, rng=random.Random(2)))
+    path = saved_with(tmp_path, scheme, code=dict(scheme.header()["code"], **code))
+    assert_decode_refused(capsys, path, "1011", exit_code, error)
 
 
 def test_pattern_roundtrip(tmp_path):
