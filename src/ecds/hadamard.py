@@ -173,8 +173,9 @@ def pair_read_counter(codeword: Codeword, pattern: CorruptionPattern):
     in F}| offsets.  The clean read at any offset is the uncorrupted bit
     at unit, so the count is D where that bit equals truth and
     length - D where it does not.  The flips are sorted and masked once
-    per pattern; each read costs O(|F|).  Reads are counted in runs, by
-    the stretch of max(MC_BLOCK, |F|) gathered flips they start in, so
+    per pattern; each distinct read, by its (base, unit), costs O(|F|),
+    however many reads of the call repeat it.  Reads are counted in runs,
+    by the stretch of max(MC_BLOCK, |F|) gathered flips they start in, so
     memory stays linear in |F| however many reads one call counts.
     """
     flips = pattern.array - 1  # 0-based, ascending
@@ -183,6 +184,18 @@ def pair_read_counter(codeword: Codeword, pattern: CorruptionPattern):
     run = max(MC_BLOCK, len(flips))
 
     def count(base, unit, truth, length) -> np.ndarray:
+        # the distinct reads, ascending, and each read's place among
+        # them; pieces are aligned to their length, a power of two, so
+        # base + unit splits back into the two
+        key = base + unit
+        order = key.argsort()
+        key = key[order]
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        read = np.empty_like(order)
+        read[order] = new.cumsum() - 1
+        key = key[new]
+        base, unit = key & -length, key & (length - 1)
         lo = np.searchsorted(flips, base)
         sizes = np.searchsorted(flips, base + length) - lo
         starts = np.cumsum(sizes) - sizes
@@ -194,10 +207,11 @@ def pair_read_counter(codeword: Codeword, pattern: CorruptionPattern):
             size, first = sizes[a:b], starts[a:b] - starts[a:b][:1]
             f = flips[np.arange(size.sum()) + np.repeat(lo[a:b] - first, size)]
             # a running total of the flips whose partner f ^ unit is flipped too
-            paired = np.cumsum(packed_bits(flipped, f ^ np.repeat(unit[a:b], size)))
-            paired = np.concatenate(([0], paired))
+            paired = np.zeros(len(f) + 1, dtype=np.int64)
+            np.cumsum(packed_bits(flipped, f ^ np.repeat(unit[a:b], size)), out=paired[1:])
             hit[a:b] = 2 * (size - (paired[first + size] - paired[first]))
-        return np.where(packed_bits(clean, base + unit) == truth, hit, length - hit)
+        hit = hit[read]
+        return np.where(packed_bits(clean, key)[read] == truth, hit, length - hit)
 
     return count
 

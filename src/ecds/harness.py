@@ -1,11 +1,15 @@
 """Adversary strategies and error measurement.
 
 An attack turns a strategy into a concrete CorruptionPattern for a given
-scheme instance, never exceeding its flip budget.  The greedy adversary
-swaps one flip at a time and scores each swap with the scheme's
-Scheme.swap_counts, the queries' wrong_counts kept up to date: recounted
-by default, and changed only at the reads a swap touches for a Hadamard
-pair-read decoder.  estimate_error then measures per-query decoding
+scheme instance, never exceeding its flip budget.  random_flips draws
+its pattern with CorruptionPattern.random: the positions its stream's
+sample(range(1, n + 1), budget) picks, drawn in numpy from the stream's
+own words (seeding.sample_positions), so a pattern of tens of thousands
+of flips costs about a millisecond and not a Python loop.  The greedy
+adversary swaps one flip at a time and scores each swap with the
+scheme's Scheme.swap_counts, the queries' wrong_counts kept up to date:
+recounted by default, and changed only at the reads a swap touches for
+a Hadamard pair-read decoder.  estimate_error then measures per-query decoding
 error under that pattern, counting every query's coins and wrong coins
 in one wrong_counts call: exact wherever it counts (every pair-read
 decoder does at any size, from one reads call over the batch, and the
@@ -31,12 +35,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bits import BitString
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .oracle import (
     EXACT_STATE_LIMIT,
     MC_BLOCK,
@@ -77,8 +81,7 @@ class AdversaryStrategy:
     def __post_init__(self):
         if self.kind not in ADVERSARY_KINDS:
             raise ParameterError("unknown adversary kind %r" % (self.kind,))
-        if self.budget < 0:
-            raise ParameterError("negative flip budget")
+        integer(self.budget, "budget >= 0", 0)
 
     def describe(self) -> Dict[str, object]:
         out = {"kind": self.kind, "budget": self.budget, "seed": self.seed}
@@ -91,8 +94,7 @@ class AdversaryStrategy:
         return out
 
 
-def _emit(strategy: AdversaryStrategy, positions: Iterable[int]) -> CorruptionPattern:
-    pattern = CorruptionPattern(positions)
+def _emit(strategy: AdversaryStrategy, pattern: CorruptionPattern) -> CorruptionPattern:
     assert pattern.weight <= strategy.budget, "attack exceeded its budget"
     return pattern
 
@@ -111,19 +113,17 @@ def attack(
     if target is None:
         target = strategy.target
     if kind == "none":
-        return _emit(strategy, ())
+        return _emit(strategy, CorruptionPattern.empty())
     if kind == "random_flips":
         rng = stream("attack-random", strategy.seed)
-        return _emit(
-            strategy, rng.sample(range(1, n + 1), min(strategy.budget, n))
-        )
+        return _emit(strategy, CorruptionPattern.random(n, min(strategy.budget, n), rng))
     if kind == "greedy_local":
         if target is not None:
             return _greedy_local(strategy, scheme, [target])
         queries = list(islice(scheme.queries(), strategy.eval_queries))
         return _greedy_local(strategy, scheme, queries)
     if kind in scheme.attacks:
-        return _emit(strategy, getattr(scheme, kind)(strategy.budget, target))
+        return _emit(strategy, CorruptionPattern(getattr(scheme, kind)(strategy.budget, target)))
     raise ParameterError("%s does not apply to %s" % (kind, scheme.name))
 
 
@@ -167,7 +167,7 @@ def _greedy_local(strategy, scheme, queries) -> CorruptionPattern:
         if val > best:
             best = val
             flips.accept()
-    return _emit(strategy, flips.positions)
+    return _emit(strategy, CorruptionPattern(flips.positions))
 
 
 # -- measurement ------------------------------------------------------
@@ -359,8 +359,7 @@ def estimate_error(
     only where that declines does it fall back to `trials` Monte Carlo
     draws.  exact_limit caps enumeration, not exactness.
     """
-    if trials < 1:
-        raise ParameterError("need trials >= 1")
+    integer(trials, "trials >= 1", 1)
     t0 = time.monotonic()
     queries = list(scheme.queries() if queries is None else queries)
     if strategy is None:

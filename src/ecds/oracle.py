@@ -21,6 +21,7 @@ import numpy as np
 
 from .bits import BitString
 from .errors import EnumerationLimitError, ParameterError, ProbeBudgetError
+from .seeding import sample_positions
 
 EXACT_STATE_LIMIT = 2**20
 
@@ -70,9 +71,11 @@ class CorruptionPattern:
 
     @classmethod
     def random(cls, n: int, count: int, rng) -> "CorruptionPattern":
+        """count positions of 1..n, those rng.sample(range(1, n + 1), count)
+        draws, drawn in numpy by seeding.sample_positions."""
         if not 0 <= count <= n:
             raise ParameterError("flip count out of range")
-        return cls(rng.sample(range(1, n + 1), count))
+        return cls(sample_positions(rng, n, count))
 
     @staticmethod
     def budget(delta: float, n: int) -> int:
@@ -130,9 +133,10 @@ def _position_array(flips) -> np.ndarray:
         arr = np.empty(0, dtype=np.int64)
     elif arr.ndim != 1 or arr.dtype.kind not in "biu" or (arr.dtype.kind == "u" and arr.max() >> 63):
         raise ParameterError("positions are integers >= 1")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64)  # a copy, never the caller's array
     if not (arr[1:] > arr[:-1]).all():  # sorted once, only if not ascending already
-        arr = np.unique(arr)
+        arr.sort()
+        arr = arr[np.concatenate(([True], arr[1:] != arr[:-1]))]
     if len(arr) and arr[0] < 1:
         raise ParameterError("positions are integers >= 1")
     arr.flags.writeable = False
@@ -145,11 +149,14 @@ def flip_mask(pattern: CorruptionPattern, n: int) -> np.ndarray:
     if not pattern.fits(n):
         raise ParameterError("flip position beyond codeword length")
     j = pattern.array - 1
-    mask = np.zeros((n + 7) // 8, dtype=np.uint8)
+    bit = np.right_shift(np.uint8(0x80), (j & 7).astype(np.uint8))
     # the positions ascend, so each byte's bits are one run to OR together
-    byte = j >> 3
-    starts = np.flatnonzero(np.diff(byte, prepend=-1))
-    mask[byte[starts]] = np.bitwise_or.reduceat((0x80 >> (j & 7)).astype(np.uint8), starts)
+    byte = np.right_shift(j, 3, out=j)
+    starts = np.ones(len(byte), dtype=bool)
+    np.not_equal(byte[1:], byte[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    mask = np.zeros((n + 7) // 8, dtype=np.uint8)
+    mask[byte[starts]] = np.bitwise_or.reduceat(bit, starts)
     return mask
 
 

@@ -419,6 +419,39 @@ def test_sweep_grid(tmp_path, capsys):
     assert cells[1]["error"].startswith("ParameterError")
 
 
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [("trials", 10.5, "trials >= 1"), ("trials", True, "trials >= 1"), ("trials", 0, "trials >= 1"),
+     ("budget", 1.5, "budget >= 0"), ("budget", True, "budget >= 0"), ("budget", -1, "budget >= 0")],
+)
+def test_sweep_records_non_integer_trials_and_budget(tmp_path, capsys, field, value, rule):
+    """A cell whose trials or flip budget is not an integer in range
+    records a ParameterError; the other cells still report."""
+    cell = {"scheme": "had-ip", "n": 4, "x": "1010", "queries": "all", "trials": 10, "adversary": "random_flips", "budget": 1}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([dict(cell, **{field: value}), cell]))
+    cells = run_json(capsys, "sweep", "--grid", str(grid))
+    assert cells[0]["error"] == "ParameterError: need %s, got %r" % (rule, value)
+    assert "report" in cells[1]
+
+
+@pytest.mark.parametrize("flags", [("--trials", "0"), ("--budget", "-1"), ("--trials", "-5", "--budget", "2")])
+def test_experiment_trials_and_budget_out_of_range_exit_3(capsys, flags):
+    code, out, err = run(capsys, "experiment", "--scheme", "had-ip", "--n", "4", "--adversary", "random_flips", *flags)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("flags", [("--trials", "10.5"), ("--trials", "true"), ("--budget", "1.5")])
+def test_experiment_non_integer_trials_and_budget_are_refused(capsys, flags):
+    """The flags are integers to the parser, which refuses anything else
+    (its usage error, exit 2) before a scheme is built."""
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--scheme", "had-ip", "--n", "4", "--adversary", "random_flips", *flags])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_exit_code_infeasible(tmp_path, capsys):
     code, out, err = run(
         capsys,
@@ -577,15 +610,16 @@ def test_equality_query_enumeration_is_refused(tmp_path, capsys, monkeypatch, ar
 def test_cli_import_leaves_out_scipy_stats():
     """scipy.stats would be most of every ecds process's import time and
     memory, and the CLI needs none of it; scipy.special is loaded only
-    when a Monte Carlo interval is computed."""
+    when a Monte Carlo interval is computed, and numpy.random (8-10 ms)
+    only when a random flip pattern is drawn."""
     src = str(Path(ecds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, ecds.cli; "
-         "print([m in sys.modules for m in ('scipy.stats', 'scipy.special')])"],
+         "print([m in sys.modules for m in ('scipy.stats', 'scipy.special', 'numpy.random')])"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout == "[False, False]\n"
+    assert proc.stdout == "[False, False, False]\n"
 
 
 SCHEME_FLAGS = {

@@ -61,6 +61,18 @@ def test_strategy_validation():
     assert t.describe()["target"] == "10"
 
 
+@pytest.mark.parametrize("budget", [1.5, True, "2", -1])
+def test_budget_must_be_an_integer(budget):
+    with pytest.raises(ParameterError, match="budget >= 0"):
+        AdversaryStrategy(kind="random_flips", budget=budget)
+
+
+@pytest.mark.parametrize("trials", [10.5, True, 0, "10"])
+def test_trials_must_be_a_positive_integer(trials):
+    with pytest.raises(ParameterError, match="trials >= 1"):
+        estimate_error(HadamardIp(BitString.from01("1010")), trials=trials)
+
+
 def test_attack_none_is_empty():
     sch = HadamardIp(BitString.from01("101"))
     pattern = attack(AdversaryStrategy(kind="none", budget=5), sch)

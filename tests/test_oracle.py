@@ -130,6 +130,29 @@ def test_pattern_random_respects_count():
     assert all(1 <= j <= 50 for j in p.positions)
 
 
+@pytest.mark.parametrize("n, count", [(50, 6), (4096, 200), (4_718_592, 23_592)])
+def test_pattern_random_is_the_stdlib_sample(n, count):
+    a, b = random.Random(n), random.Random(n)
+    assert CorruptionPattern.random(n, count, a).positions == tuple(sorted(b.sample(range(1, n + 1), count)))
+    assert a.getstate() == b.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), max_size=60),
+    st.sampled_from([np.int64, np.int32, np.uint16, list]),
+)
+def test_pattern_of_unsorted_repeats_sorts_and_drops_them(positions, kind):
+    """Sorted in a copy, each position once; the caller's array is left
+    as it was."""
+    given_ = positions if kind is list else np.array(positions, dtype=kind)
+    before = list(positions)
+    p = CorruptionPattern(given_)
+    assert p.positions == tuple(sorted(set(positions)))
+    assert list(given_) == before
+    assert p.array.dtype == np.int64 and not p.array.flags.writeable
+
+
 def test_probe_reads_corrupted_word():
     word = Codeword(BitString.from01("1010"))
     oracle = ProbeOracle(word, CorruptionPattern([1]), budget=4)

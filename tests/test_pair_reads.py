@@ -384,3 +384,54 @@ def test_hadamard_ip_counts_in_memory_linear_in_the_flips():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 8 * pattern.weight
+
+
+def _per_read(codeword, pattern, base, unit, truth, length):
+    """Each read's wrong count on its own, from the flips of its piece:
+    D = 2|{f : f xor unit not flipped}| offsets are hit, and the count is
+    D where the clean bit at unit is the truth, else length - D."""
+    flipped = set((pattern.array - 1).tolist())
+    clean = codeword.bits
+    out = []
+    for b, u, t in zip(base.tolist(), unit.tolist(), truth.tolist()):
+        piece = [f - b for f in flipped if b <= f < b + length]
+        hit = 2 * sum((f ^ u) + b not in flipped for f in piece)
+        out.append(hit if clean.bit(b + u + 1) == t else length - hit)
+    return out
+
+
+# (name, scheme factory, the queries a batch picks from)
+DEDUPE = [
+    ("had-ip", lambda: HadamardIp(_bits("10110")), _all(5)),
+    *(
+        ("composed-" + decoder, lambda decoder=decoder: _composed_8_64().instance(BitString.from_indices(16, [9]), decoder), list(range(1, 17)))
+        for decoder in ("block", "direct")
+    ),
+]
+
+
+@pytest.mark.parametrize("name, make, pool", DEDUPE, ids=[d[0] for d in DEDUPE])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), fraction=st.sampled_from([0.0, 0.02, 0.2, 0.6]))
+def test_count_of_repeated_reads_equals_each_read_counted_alone(name, make, pool, data, seed, fraction):
+    """pair_read_counter counts each distinct (base, unit) once and maps
+    the counts back: on batches of many queries, repeats among them, it
+    gives every read the count of that read alone, also under the empty
+    pattern (fraction 0)."""
+    scheme = make()
+    queries = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    n = scheme.codeword.n
+    pattern = CorruptionPattern.random(n, int(fraction * n), random.Random(seed))
+    columns = scheme.read_table(queries).columns
+    counted = pair_read_counter(scheme.codeword, pattern)(*columns)
+    assert counted.tolist() == _per_read(scheme.codeword, pattern, *columns)
+
+
+def test_composed_batches_repeat_reads():
+    """The batches above do repeat reads: every query of a composed
+    structure read twice, and its pieces shared between queries."""
+    scheme = _composed_8_64().instance(BitString.from_indices(16, [9]), "block")
+    base, unit, truth, length = scheme.read_table(list(range(1, 17)) * 2).columns
+    keys = (base + unit).tolist()
+    assert len(set(keys)) * 2 < len(keys)
+    assert len(set(base.tolist())) < len(set(keys))
