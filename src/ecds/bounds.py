@@ -22,6 +22,14 @@ from .seeding import derive_seed
 MATRIX_MAX_N = 12
 MATRIX_MAX_COLS = 4096
 
+# rectangles `discrepancy_verify` checks all of, at most; past it, a sample
+EXHAUSTIVE_RECTANGLES = 1 << 20
+
+# an exact ball sum takes about a second at 2^24 bit-binomials (B(4095,
+# 4095): 0.8-1.4 s on a shared 2-vCPU host), a quarter of the desk scale:
+# `_ball` counts each as 2^BALL_WORK_SHIFT
+BALL_WORK_SHIFT = 2
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -31,7 +39,6 @@ class BoundReport:
     inputs: Dict[str, object]
     value: float
     exact: Optional[Fraction] = None
-    provenance: str = "formula"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -39,7 +46,7 @@ class BoundReport:
             "inputs": {k: _plain(v) for k, v in self.inputs.items()},
             "value": self.value,
             "exact": None if self.exact is None else str(self.exact),
-            "provenance": self.provenance,
+            "provenance": "formula",
         }
 
 
@@ -59,9 +66,17 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
-def _ip_ball(n: int, r: int) -> int:
-    """B(n, r), the query count of the inner-product bounds."""
-    return ball_size(n, integer(r, "0 <= r <= n", 0, n))
+def _ball(n: int, r: int, name: str = "r") -> int:
+    """B(n, r), summed exactly, for 0 <= r <= n (r called `name` in the
+    refusal).  Refused with InfeasibleSizeError, before summing, when an
+    upper bound on the work passes BALL_WORK_SHIFT's limit: r + 1
+    binomials of at most min(n, k log2(e n / k)) bits each, the largest
+    being at k = min(r, n // 2)."""
+    integer(r, "0 <= %s <= n" % name, 0, n)
+    k = min(r, n // 2)
+    bits = min(n, math.ceil(k * (math.log2(n) - math.log2(k) + math.log2(math.e)))) if k else 1
+    desk_scale("the exact sum B(%d, %d), in bit-binomials," % (n, r), (r + 1) * bits, BALL_WORK_SHIFT)
+    return ball_size(n, r)
 
 
 def ip_comm_lower_bound(n: int, r: int, beta) -> BoundReport:
@@ -70,7 +85,7 @@ def ip_comm_lower_bound(n: int, r: int, beta) -> BoundReport:
     beta = Fraction(beta)
     if not 0 < beta <= Fraction(1, 2):
         raise ParameterError("need 0 < beta <= 1/2")
-    b = _ip_ball(n, r)
+    b = _ball(n, r)
     value = math.log2(b) - 2 * math.log2(1 / (2 * beta))
     return BoundReport(
         formula="ip-communication",
@@ -89,7 +104,7 @@ def ip_ds_lower_bound(n: int, r: int, eps, p: int) -> BoundReport:
     if not 0 <= eps < Fraction(1, 2):
         raise ParameterError("need 0 <= eps < 1/2")
     integer(p, "p >= 1", 1)
-    b = _ip_ball(n, r)
+    b = _ball(n, r)
     gap = 1 - 2 * eps
     exponent = (math.log2(b) - 2 * math.log2(1 / gap) - 1) / p
     value = 0.5 * 2.0**exponent
@@ -120,7 +135,7 @@ def one_probe_noise_threshold(delta: float, eps: float) -> BoundReport:
 
 def membership_trivial_lb(n: int, s: int) -> BoundReport:
     """Information floor for membership structures: log2 B(n,s) bits."""
-    b = ball_size(n, integer(s, "0 <= s <= n", 0, n))
+    b = _ball(n, s, "s")
     value = math.log2(b)
     exact = Fraction(value) if b & (b - 1) == 0 else None
     return BoundReport(
@@ -139,7 +154,7 @@ def signed_ip_matrix(n: int, r: int) -> np.ndarray:
     ordered lexicographically by y."""
     if n > MATRIX_MAX_N:
         raise InfeasibleSizeError("sign matrix limited to n <= %d" % MATRIX_MAX_N)
-    cols = _ip_ball(n, r)
+    cols = _ball(n, r)
     if cols > MATRIX_MAX_COLS:
         raise InfeasibleSizeError(
             "sign matrix limited to %d columns" % MATRIX_MAX_COLS
@@ -201,20 +216,19 @@ def discrepancy_verify(
     r: int,
     samples: int = 10_000,
     seed: int = 0,
-    exhaustive_limit: int = 1 << 20,
 ) -> DiscrepancyReport:
     """Verify the rectangle-discrepancy bound on the sign matrix.
 
     Checks M^T M = 2^n I exactly, then the integer inequality
     (sum_R M)^2 <= |A| |B| 2^n over rectangles: all 2^(2^n) * 2^B of them
-    when that count is at most exhaustive_limit, else `samples` random
+    when that count is at most EXHAUSTIVE_RECTANGLES, else `samples` random
     ones.  max_ratio reports the largest observed |sum| / sqrt(|A||B|2^n).
     """
     m = signed_ip_matrix(n, r)
     rows, cols = m.shape
     ortho = check_orthogonality(n, r)
     total = 2 ** (rows + cols) if rows + cols < 64 else None
-    exhaustive = total is not None and total <= exhaustive_limit
+    exhaustive = total is not None and total <= EXHAUSTIVE_RECTANGLES
     if exhaustive:
         va = (np.arange(1 << rows)[:, None] >> np.arange(rows)) & 1
         vb = (np.arange(1 << cols)[:, None] >> np.arange(cols)) & 1

@@ -25,6 +25,7 @@ from .errors import (
     InfeasibleSizeError,
     ParameterError,
     VerificationError,
+    integer,
 )
 from .hadamard import EqualityScheme, HadamardCode, HadamardIp, RandomLinearCode
 from .harness import ADVERSARY_KINDS, AdversaryStrategy, attack, estimate_error, sweep
@@ -240,7 +241,9 @@ def cmd_attack(args) -> int:
 
 
 def _run_experiment(cfg: Dict) -> "ExperimentReport":
-    seed = cfg.get("seed", 0)
+    if not isinstance(cfg, dict):
+        raise ParameterError("a sweep cell must be a JSON object, got %r" % (cfg,))
+    seed = integer(cfg.get("seed", 0), "an integer seed", -math.inf)
     if cfg.get("structure"):
         scheme = load_structure(cfg["structure"])
     else:

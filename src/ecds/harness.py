@@ -173,7 +173,11 @@ def _greedy_local(strategy, scheme, queries) -> CorruptionPattern:
 # -- measurement ------------------------------------------------------
 
 
-def clopper_pearson(wrong: int, trials: int, conf: float = 0.99) -> Tuple[float, float]:
+# confidence of every Monte Carlo interval a report gives
+CONFIDENCE = 0.99
+
+
+def clopper_pearson(wrong: int, trials: int, conf: float = CONFIDENCE) -> Tuple[float, float]:
     """Exact two-sided binomial confidence interval for wrong/trials."""
     if not 0 <= wrong <= trials or trials < 1:
         raise ParameterError("need 0 <= wrong <= trials")
@@ -246,7 +250,6 @@ class ExperimentReport:
     adversary: Dict[str, object]
     trials: int
     seed: int
-    confidence: float
     # the query labels, one a line, interned: reports over the same
     # queries share one string
     label_text: str
@@ -285,7 +288,7 @@ class ExperimentReport:
             "adversary": self.adversary,
             "trials": self.trials,
             "seed": self.seed,
-            "confidence": self.confidence,
+            "confidence": CONFIDENCE,
             "results": [r.to_dict() for r in self.results],
             "worst_error": self.worst_error,
         }
@@ -323,7 +326,7 @@ def _sampled_wrong(scheme, query, pattern, trials, block_rng) -> int:
     return count_wrong(scheme, query, chunks(), corrupt(scheme.codeword, pattern))
 
 
-def _measure(scheme, queries, pattern, trials, seed, exact_limit, conf) -> List[tuple]:
+def _measure(scheme, queries, pattern, trials, seed, exact_limit) -> List[tuple]:
     """One row per query under one pattern, (label, coins or trials, wrong,
     pattern weight, interval): exact, with no interval, from one
     wrong_counts call over the queries, and sampled where that declines."""
@@ -338,7 +341,7 @@ def _measure(scheme, queries, pattern, trials, seed, exact_limit, conf) -> List[
         wrong = _sampled_wrong(
             scheme, query, pattern, trials, lambda block: stream("mc", seed, label, block)
         )
-        rows.append((label, trials, wrong, weight, clopper_pearson(wrong, trials, conf)))
+        rows.append((label, trials, wrong, weight, clopper_pearson(wrong, trials, CONFIDENCE)))
     return rows
 
 
@@ -349,7 +352,6 @@ def estimate_error(
     trials: int = 100_000,
     seed: int = 0,
     exact_limit: int = EXACT_STATE_LIMIT,
-    confidence: float = 0.99,
 ) -> ExperimentReport:
     """Per-query and worst-query decoding error under one adversary.
 
@@ -370,12 +372,12 @@ def estimate_error(
     elif strategy.kind == "greedy_local":
         shared = _greedy_local(strategy, scheme, queries)
     if shared is not None:
-        rows = _measure(scheme, queries, shared, trials, seed, exact_limit, confidence)
+        rows = _measure(scheme, queries, shared, trials, seed, exact_limit)
     else:
         rows = []
         for query in queries:
             pattern = attack(strategy, scheme, query)
-            rows += _measure(scheme, [query], pattern, trials, seed, exact_limit, confidence)
+            rows += _measure(scheme, [query], pattern, trials, seed, exact_limit)
     labels, coins, wrong, weights, intervals = zip(*rows) if rows else ((),) * 5
     n = scheme.codeword.n
     return ExperimentReport(
@@ -387,7 +389,6 @@ def estimate_error(
         adversary=strategy.describe(),
         trials=trials,
         seed=seed,
-        confidence=confidence,
         label_text=sys.intern("\n".join(labels)),
         counts=_count_columns(coins, wrong, weights),
         # one shared empty mapping where every row is exact

@@ -5,7 +5,7 @@ P_i of d positions in a length-n' bit vector; encoding a set stores the
 union of the P_i over its members, and decoding probes one uniformly
 random j in P_i.  A build is only accepted after verifying, for every
 admissible data set (weight <= s; a uniform sample of them when there are
-more than `verify_limit`) and every index in the verification domain,
+more than `VERIFY_LIMIT`) and every index in the verification domain,
 that the probed bit agrees with membership with probability at least
 1 - eps over the probe choice.  Members always agree exactly (the
 union contains their whole set); the verified direction is that
@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,13 @@ from .seeding import derive_seed
 # bytes that one chunk of supports in `OneProbeMembership.verify` may take
 # in `_agreement` (`_support_bytes` per support)
 _CHUNK_BYTES = 1 << 20
+
+# data sets `OneProbeMembership.verify` checks all of, at most; past it, a
+# uniform sample of this many
+VERIFY_LIMIT = 100_000
+
+# permutations `BlockCodedMembership.build` tries for enough good indices
+PERM_TRIALS = 256
 
 
 def probe_params(n: int, s: int, eps: float, n_prime: Optional[int] = None, d: Optional[int] = None) -> Tuple[int, int]:
@@ -78,12 +86,15 @@ def probe_params(n: int, s: int, eps: float, n_prime: Optional[int] = None, d: O
 
 def _report_dict(report) -> Dict[str, object]:
     """A build report's fields, flat: a nested report's entries are
-    prefixed with its field name (verification_..., base_...)."""
+    prefixed with its field name (verification_..., base_...), and a
+    mapping's (the structure's params) are spread as they are."""
     out: Dict[str, object] = {}
     for f in fields(report):
         value = getattr(report, f.name)
         if is_dataclass(value):
             out.update({f.name + "_" + k: v for k, v in value.to_dict().items()})
+        elif isinstance(value, Mapping):
+            out.update(value)
         else:
             out[f.name] = value
     return out
@@ -109,11 +120,9 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class MembershipBuildReport:
-    n: int
-    s: int
-    eps: float
-    n_prime: int
-    d: int
+    """What a build decided, beside its structure's params()."""
+
+    params: Mapping[str, object]
     seed: int
     attempts: int
     overridden: bool
@@ -194,7 +203,6 @@ class OneProbeMembership:
         d: Optional[int] = None,
         domain: Optional[Sequence[int]] = None,
         retries: int = GRAPH_RETRIES,
-        verify_limit: int = 100_000,
     ) -> "OneProbeMembership":
         """Sample probe sets and verify; resample on failure, up to
         `retries` attempts, then give up with ConstructionError."""
@@ -209,24 +217,12 @@ class OneProbeMembership:
                 sets[i] = rng.choice(n_prime, size=d, replace=False)
             sets += 1
             st = cls(n, s, eps, sets, n_prime)
-            ver = st.verify(
-                domain=dom,
-                limit=verify_limit,
-                rng=np.random.default_rng(derive_seed("verify", seed, attempt)),
-            )
+            ver = st.verify(domain=dom, rng=np.random.default_rng(derive_seed("verify", seed, attempt)))
             last = ver
             if ver.violations == 0:
                 st.report = MembershipBuildReport(
-                    n=n,
-                    s=s,
-                    eps=eps,
-                    n_prime=n_prime,
-                    d=d,
-                    seed=seed,
-                    attempts=attempt + 1,
-                    overridden=overridden,
-                    domain_size=len(dom),
-                    verification=ver,
+                    params=MappingProxyType(st.params()), seed=seed, attempts=attempt + 1,
+                    overridden=overridden, domain_size=len(dom), verification=ver,
                 )
                 return st
         raise ConstructionError(
@@ -325,7 +321,7 @@ class OneProbeMembership:
     def verify(
         self,
         domain: Optional[Sequence[int]] = None,
-        limit: int = 100_000,
+        limit: int = VERIFY_LIMIT,
         rng=None,
     ) -> VerificationReport:
         """Check the agreement guarantee for every weight <= s data set
@@ -504,18 +500,12 @@ def block_layout(n_prime: int, a: int) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class ComposedBuildReport:
-    public_n: int
-    universe: int
-    s: int
-    eps: float
-    a: int
-    b: int
-    d: int
-    n_prime: int
-    length: int
+    """What a build decided, beside its structure's params() and the
+    base's vector length n'."""
+
+    params: Mapping[str, object]
     seed: int
     perm_trials: int
-    good_count: int
     good_threshold: int
     base: MembershipBuildReport
 
@@ -585,47 +575,23 @@ class BlockCodedMembership:
         a: int = 14,
         b: int = 288,
         seed: int = 0,
-        perm_trials: int = 256,
-        retries: int = OneProbeMembership.GRAPH_RETRIES,
-        verify_limit: int = 100_000,
     ) -> "BlockCodedMembership":
         block_layout(integer(a, "a >= 1", 1) * integer(b, "b >= 1", 1), a)
-        base = OneProbeMembership.build(
-            public_n,
-            s,
-            eps,
-            seed=seed,
-            n_prime=a * b,
-            d=b,
-            retries=retries,
-            verify_limit=verify_limit,
-        )
+        base = OneProbeMembership.build(public_n, s, eps, seed=seed, n_prime=a * b, d=b)
         threshold = math.ceil(public_n / 20)
-        for trial in range(perm_trials):
+        for trial in range(PERM_TRIALS):
             rng = np.random.default_rng(derive_seed("blocks", seed, trial))
             perm = rng.permutation(a * b)
             st = cls(public_n, base, perm, a)
             if len(st.good_indices) >= threshold:
                 st.report = ComposedBuildReport(
-                    public_n=public_n,
-                    universe=public_n,
-                    s=s,
-                    eps=eps,
-                    a=a,
-                    b=b,
-                    d=base.d,
-                    n_prime=base.n_prime,
-                    length=st.length,
-                    seed=seed,
-                    perm_trials=trial + 1,
-                    good_count=len(st.good_indices),
-                    good_threshold=threshold,
-                    base=base.report,
+                    params=MappingProxyType({**st.params(), "n_prime": base.n_prime}), seed=seed,
+                    perm_trials=trial + 1, good_threshold=threshold, base=base.report,
                 )
                 return st
         raise ConstructionError(
             "no permutation reached %d good indices in %d trials"
-            % (threshold, perm_trials)
+            % (threshold, PERM_TRIALS)
         )
 
     def embed(self, x: BitString) -> BitString:

@@ -84,6 +84,25 @@ def test_ip_bounds_refuse_radius_outside_length(r):
     assert ip_comm_lower_bound(4, 4, Fraction(1, 2)).value == pytest.approx(4.0)
 
 
+def test_ball_sum_refused_past_desk_time(monkeypatch):
+    """A ball is summed only while r + 1 binomials times the largest's bit
+    length stays within 2^24, about a second: B(4095, 4095) is summed,
+    B(4096, 4096) refused before summing, whatever the formula; a small
+    radius over a huge length is still summed."""
+    assert membership_trivial_lb(10**400, 1).inputs["ball"] == 10**400 + 1
+    import ecds.bounds as bounds
+
+    monkeypatch.setattr(bounds, "ball_size", lambda n, r: 2)
+    assert membership_trivial_lb(4095, 4095).inputs["ball"] == 2
+    assert ip_comm_lower_bound(200_000, 300, Fraction(1, 4)).inputs["ball"] == 2
+    with pytest.raises(InfeasibleSizeError, match=r"B\(4096, 4096\)"):
+        membership_trivial_lb(4096, 4096)
+    with pytest.raises(InfeasibleSizeError):
+        ip_ds_lower_bound(4096, 4096, 0, 2)
+    with pytest.raises(InfeasibleSizeError):
+        ip_comm_lower_bound(200_000, 100_000, Fraction(1, 4))
+
+
 def test_noise_threshold_frozen():
     rep = one_probe_noise_threshold(0.01, 0.25)
     assert rep.value == pytest.approx(529.88028, abs=1e-4)

@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,17 @@ def test_bounds_discrepancy(capsys):
     )
     assert body["mode"] == "exhaustive"
     assert body["violations"] == 0
+
+
+@pytest.mark.parametrize("argv", [("ip", "--n", "200000", "--r", "100000"), ("membership", "--n", "200000", "--s", "100000")])
+def test_bounds_ball_past_desk_time_exits_4_at_once(capsys, argv):
+    """A ball of 10^5 binomials of up to 2*10^5 bits is refused before
+    it is summed, where the sum ran for over 20 s."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "bounds", *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "InfeasibleSizeError"
 
 
 def test_bounds_missing_flag_exits_3(capsys):
@@ -433,6 +445,23 @@ def test_sweep_records_non_integer_trials_and_budget(tmp_path, capsys, field, va
     cells = run_json(capsys, "sweep", "--grid", str(grid))
     assert cells[0]["error"] == "ParameterError: need %s, got %r" % (rule, value)
     assert "report" in cells[1]
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [({"seed": 1.5}, "need an integer seed, got 1.5"), ({"seed": True}, "need an integer seed, got True"),
+     ({"seed": "abc"}, "need an integer seed, got 'abc'"), (5, "a sweep cell must be a JSON object, got 5")],
+)
+def test_sweep_records_bad_seed_and_non_object_cell(tmp_path, capsys, bad, error):
+    """A cell whose seed is not an integer, or that is not an object,
+    records a ParameterError; the cell beside it still reports, with its
+    own seed."""
+    cell = {"scheme": "had-ip", "n": 4, "x": "1010", "queries": "all", "trials": 10, "seed": -3}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([dict(cell, **bad) if isinstance(bad, dict) else bad, cell]))
+    cells = run_json(capsys, "sweep", "--grid", str(grid))
+    assert cells[0]["error"] == "ParameterError: " + error
+    assert cells[1]["report"]["seed"] == -3
 
 
 @pytest.mark.parametrize("flags", [("--trials", "0"), ("--budget", "-1"), ("--trials", "-5", "--budget", "2")])

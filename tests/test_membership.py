@@ -7,6 +7,8 @@ block decoder, 0 under the direct decoder, and specific values once a
 single codeword bit is flipped.
 """
 
+import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -238,7 +240,7 @@ def test_noise_shifts_error_by_hit_count():
 def test_build_small_and_reproducible():
     st = OneProbeMembership.build(8, 1, eps=0.3, seed=42)
     rep = st.report
-    assert (rep.n_prime, rep.d) == probe_params(8, 1, 0.3)
+    assert (rep.params["n_prime"], rep.params["d"]) == probe_params(8, 1, 0.3)
     assert rep.attempts >= 1 and not rep.overridden
     assert rep.verification.exhaustive
     assert rep.verification.violations == 0
@@ -281,6 +283,29 @@ def test_report_dict_shape():
     d = st.report.to_dict()
     assert d["n"] == 8 and d["verification_exhaustive"] is True
     assert d["verification_coverage"] == 1.0
+
+
+def report_digest(st):
+    return hashlib.sha256(json.dumps(st.report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_build_report_bytes_are_pinned():
+    """The sorted-key JSON of a one-probe and a composed build report,
+    its base's nested: the keys and values `ecds build` and the
+    benchmark's composed-mc fingerprint print."""
+    assert report_digest(OneProbeMembership.build(32, 2, seed=3)) == (
+        "da6523a4eead42f349124f5cf36c7ad68e732c4edfc45a3bc4b68fc9f78d41cf"
+    )
+    assert report_digest(BlockCodedMembership.build(public_n=16, s=1, eps=0.4, a=5, b=40, seed=3)) == (
+        "e45bfb251ead5dedfbfe7aaa9cfc76afaa97f6cea281f3443de2646d215b3da7"
+    )
+
+
+def test_build_report_repeats_no_structure_param():
+    for st in (OneProbeMembership.build(8, 1, eps=0.3, seed=42), toy_built()):
+        names = {f.name for f in dataclasses.fields(st.report)}
+        assert not names & set(st.params())
+        assert st.params().items() <= st.report.params.items()
 
 
 # -- reference recount over Python sets ------------------------------
@@ -644,10 +669,10 @@ def toy_built():
 def test_built_composed_report():
     st = toy_built()
     rep = st.report
-    assert rep.universe == 16 and rep.n_prime == 200 and rep.d == 40
-    assert rep.length == st.length == 40 * 32
-    assert rep.good_count == len(st.good_indices)
-    assert rep.good_count >= rep.good_threshold == 1
+    assert rep.params["universe"] == 16 and rep.params["n_prime"] == 200 and rep.params["d"] == 40
+    assert rep.params["length"] == st.length == 40 * 32
+    assert rep.params["good_count"] == len(st.good_indices)
+    assert rep.params["good_count"] >= rep.good_threshold == 1
     d = rep.to_dict()
     assert d["base_n"] == 16 and d["base_verification_violations"] == 0
 
