@@ -12,7 +12,6 @@ from .bits import (
     BoundedWeightSpace,
     ball_size,
     dot_mod2,
-    extract_substring,
     split_query,
 )
 from .bounds import (
@@ -64,11 +63,10 @@ from .oracle import (
     Codeword,
     CorruptionPattern,
     ProbeOracle,
-    RecordingOracle,
     Scheme,
     corrupt,
     exact_error,
-    probe_distribution,
+    probe_mass,
 )
 from .storage import load_pattern, load_structure, save_pattern, save_structure
 

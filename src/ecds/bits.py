@@ -25,8 +25,8 @@ class BitString:
 
     Backed by packed bytes (big-endian within each byte) so single-bit
     reads stay O(1) even for multi-megabit codewords.  The trailing pad
-    bits of the last byte are always zero, which makes equality and
-    ordering plain byte comparisons.
+    bits of the last byte are always zero, which makes equality a plain
+    byte comparison.
     """
 
     __slots__ = ("n", "_data", "_value", "_weight")
@@ -62,10 +62,6 @@ class BitString:
     @classmethod
     def zeros(cls, n: int) -> "BitString":
         return cls(n, bytes((n + 7) // 8))
-
-    @classmethod
-    def ones(cls, n: int) -> "BitString":
-        return cls.from_int(n, (1 << n) - 1)
 
     @classmethod
     def unit(cls, n: int, i: int) -> "BitString":
@@ -129,34 +125,14 @@ class BitString:
 
     # -- algebra ------------------------------------------------------
 
-    def flip(self, indices: Iterable[int]) -> "BitString":
-        v = 0
-        for i in indices:
-            if not 1 <= i <= self.n:
-                raise ValueError("flip index out of range")
-            v ^= 1 << (self.n - i)
-        return BitString.from_int(self.n, self.value ^ v)
-
-    def _binop(self, other: "BitString", op) -> "BitString":
+    def __xor__(self, other):
         if not isinstance(other, BitString):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("length mismatch")
         a = int.from_bytes(self._data, "big")
         b = int.from_bytes(other._data, "big")
-        return BitString(self.n, op(a, b).to_bytes(len(self._data), "big"))
-
-    def __xor__(self, other):
-        return self._binop(other, int.__xor__)
-
-    def __and__(self, other):
-        return self._binop(other, int.__and__)
-
-    def __or__(self, other):
-        return self._binop(other, int.__or__)
-
-    def __invert__(self) -> "BitString":
-        return BitString.from_int(self.n, self.value ^ ((1 << self.n) - 1))
+        return BitString(self.n, (a ^ b).to_bytes(len(self._data), "big"))
 
     # -- protocol -----------------------------------------------------
 
@@ -176,14 +152,6 @@ class BitString:
     def __hash__(self) -> int:
         return hash((self.n, self._data))
 
-    def __lt__(self, other: "BitString") -> bool:
-        if self.n != other.n:
-            raise ValueError("cannot order strings of different lengths")
-        return self._data < other._data
-
-    def __le__(self, other: "BitString") -> bool:
-        return self == other or self < other
-
     def __repr__(self) -> str:
         if self.n <= 64:
             return "BitString(%r)" % self.to01()
@@ -195,17 +163,6 @@ def dot_mod2(a: BitString, b: BitString) -> int:
     if a.n != b.n:
         raise ValueError("length mismatch")
     return (a.value & b.value).bit_count() & 1
-
-
-def extract_substring(x: BitString, mask: BitString) -> BitString:
-    """Bits of x at the one-positions of mask, in index order."""
-    if x.n != mask.n:
-        raise ValueError("length mismatch")
-    sup = mask.support()
-    v = 0
-    for i in sup:
-        v = (v << 1) | x.bit(i)
-    return BitString.from_int(len(sup), v)
 
 
 def split_query(y: BitString, p: int) -> List[BitString]:
@@ -252,9 +209,6 @@ class BoundedWeightSpace:
 
     def size(self) -> int:
         return ball_size(self.n, self.r)
-
-    def __contains__(self, v: BitString) -> bool:
-        return v.n == self.n and v.weight <= self.r
 
     def rank(self, v: BitString) -> int:
         if v.n != self.n:

@@ -25,6 +25,10 @@ MATRIX_MAX_COLS = 4096
 # rectangles `discrepancy_verify` checks all of, at most; past it, a sample
 EXHAUSTIVE_RECTANGLES = 1 << 20
 
+# matrix entries `discrepancy_verify` holds per block of Gram rows or of
+# sampled rectangles, so its memory stays flat in the sample count
+BLOCK_ENTRIES = 1 << 20
+
 # an exact ball sum takes about a second at 2^24 bit-binomials (B(4095,
 # 4095): 0.8-1.4 s on a shared 2-vCPU host), a quarter of the desk scale:
 # `_ball` counts each as 2^BALL_WORK_SHIFT
@@ -72,6 +76,7 @@ def _ball(n: int, r: int, name: str = "r") -> int:
     upper bound on the work passes BALL_WORK_SHIFT's limit: r + 1
     binomials of at most min(n, k log2(e n / k)) bits each, the largest
     being at k = min(r, n // 2)."""
+    integer(n, "n >= 0", 0)
     integer(r, "0 <= %s <= n" % name, 0, n)
     k = min(r, n // 2)
     bits = min(n, math.ceil(k * (math.log2(n) - math.log2(k) + math.log2(math.e)))) if k else 1
@@ -98,7 +103,8 @@ def ip_ds_lower_bound(n: int, r: int, eps, p: int) -> BoundReport:
     """Minimum length of a p-probe structure answering x.y with error eps:
     (1/2) * 2^((log2 B(n,r) - 2 log2(1/(1-2 eps)) - 1)/p).
 
-    At p = 1 the value is exactly B(n,r) (1-2 eps)^2 / 4.
+    At p = 1 the value is exactly B(n,r) (1-2 eps)^2 / 4.  A value past
+    the float range is refused with InfeasibleSizeError.
     """
     eps = Fraction(eps)
     if not 0 <= eps < Fraction(1, 2):
@@ -106,13 +112,17 @@ def ip_ds_lower_bound(n: int, r: int, eps, p: int) -> BoundReport:
     integer(p, "p >= 1", 1)
     b = _ball(n, r)
     gap = 1 - 2 * eps
-    exponent = (math.log2(b) - 2 * math.log2(1 / gap) - 1) / p
-    value = 0.5 * 2.0**exponent
     exact = Fraction(b) * gap**2 / 4 if p == 1 else None
+    try:
+        value = float(exact) if p == 1 else 0.5 * 2.0 ** ((math.log2(b) - 2 * math.log2(1 / gap) - 1) / p)
+    except OverflowError:
+        raise InfeasibleSizeError(
+            "the %d-probe length bound for B(%d, %d) is past the float range" % (p, n, r)
+        ) from None
     return BoundReport(
         formula="ip-structure-length",
         inputs={"n": n, "r": r, "eps": eps, "p": p, "ball": b},
-        value=float(exact) if exact is not None else value,
+        value=value,
         exact=exact,
     )
 
@@ -168,7 +178,8 @@ def signed_ip_matrix(n: int, r: int) -> np.ndarray:
 
 
 def check_orthogonality(n: int, r: int) -> bool:
-    """Exact check that the sign matrix satisfies M^T M = 2^n I."""
+    """Exact check that the sign matrix satisfies M^T M = 2^n I, in int64:
+    the reference for discrepancy_verify's float64 check."""
     m = signed_ip_matrix(n, r)
     g = m.T @ m
     want = (1 << n) * np.eye(g.shape[0], dtype=np.int64)
@@ -223,10 +234,17 @@ def discrepancy_verify(
     (sum_R M)^2 <= |A| |B| 2^n over rectangles: all 2^(2^n) * 2^B of them
     when that count is at most EXHAUSTIVE_RECTANGLES, else `samples` random
     ones.  max_ratio reports the largest observed |sum| / sqrt(|A||B|2^n).
+
+    The matrix products run in float64, through BLAS, and are exact: every
+    partial sum is an integer of magnitude at most 2^n B(n,r) <= 2^24.
     """
-    m = signed_ip_matrix(n, r)
+    m = signed_ip_matrix(n, r).astype(np.float64)
     rows, cols = m.shape
-    ortho = check_orthogonality(n, r)
+    step = max(1, BLOCK_ENTRIES // cols)
+    ortho = all(
+        (m[:, start : start + step].T @ m == np.eye(min(step, cols - start), cols, start) * (1 << n)).all()
+        for start in range(0, cols, step)
+    )
     total = 2 ** (rows + cols) if rows + cols < 64 else None
     exhaustive = total is not None and total <= EXHAUSTIVE_RECTANGLES
     if exhaustive:
@@ -237,9 +255,13 @@ def discrepancy_verify(
     else:
         desk_scale("sampled rectangle entries", integer(samples, "samples >= 1", 1) * (rows + cols))
         rng = np.random.default_rng(derive_seed("discrepancy", seed, n, r))
-        va, vb = np.hsplit(rng.integers(0, 2, size=(samples, rows + cols)), [rows])
-        sums = ((va @ m) * vb).sum(axis=1)
-        area = va.sum(axis=1) * vb.sum(axis=1)
+        sums, area = np.empty(samples), np.empty(samples, dtype=np.int64)
+        step = max(1, BLOCK_ENTRIES // (rows + cols))
+        for start in range(0, samples, step):
+            # blocks of rows, drawn in turn, are the rows one draw would give
+            va, vb = np.hsplit(rng.integers(0, 2, size=(min(step, samples - start), rows + cols)), [rows])
+            sums[start : start + step] = ((va @ m) * vb).sum(axis=1)
+            area[start : start + step] = va.sum(axis=1) * vb.sum(axis=1)
     nonempty = area > 0
     ratios = np.abs(sums[nonempty]) / np.sqrt((area[nonempty] << n).astype(np.float64))
     return DiscrepancyReport(

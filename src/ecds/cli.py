@@ -305,6 +305,7 @@ def cmd_bounds(args) -> int:
     for flag in BOUND_FLAGS.get(f, ()):
         if getattr(args, flag) is None:
             raise ParameterError("--%s is required for %s" % (flag, f))
+    drawn = None
     if f == "ip":
         p = 1 if args.p is None else args.p
         body = bounds_mod.ip_ds_lower_bound(args.n, args.r, args.eps, p).to_dict()
@@ -318,9 +319,10 @@ def cmd_bounds(args) -> int:
     elif f == "discrepancy":
         seed = args.seed if args.seed is not None else _default_seed()
         body = bounds_mod.discrepancy_verify(args.n, args.r, samples=args.samples, seed=seed).to_dict()
+        drawn = {"seed": seed}
     else:
         raise ParameterError("unknown bounds formula %r" % (f,))
-    body["config"] = _config_echo(args)
+    body["config"] = _config_echo(args, drawn)
     _emit(args, json.dumps(body, sort_keys=True, indent=2))
     return 0
 

@@ -115,21 +115,6 @@ class HadamardCode:
             word <<= 8 - self.length
         return BitString(self.length, word.to_bytes(-(-self.length // 8), "big"))
 
-    def position_of(self, z: int) -> int:
-        """Codeword position holding the product with value-z queries."""
-        if not 0 <= z < self.length:
-            raise ParameterError("query value out of range")
-        return z + 1
-
-    def query_of_position(self, pos: int) -> BitString:
-        if not 1 <= pos <= self.length:
-            raise ParameterError("position out of range")
-        return BitString.from_int(self.s, pos - 1)
-
-    def min_distance(self) -> int:
-        # every nonzero message hits exactly half the positions
-        return self.length // 2
-
     def bit_of(self, x: BitString, j):
         """Bit j of x's codeword; j may be an array of positions."""
         return np.bitwise_count(np.asarray(j - 1, dtype=np.uint64) & np.uint64(x.value)) & 1

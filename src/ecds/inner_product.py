@@ -392,9 +392,6 @@ class PolySharedIp(LowWeightQueries):
             out ^= self._p_x_table[(point >> (self.m * (self.r - 1 - l))) & mmask]
         return out
 
-    def table_bit(self, block_j: int, shares: Sequence[int]) -> int:
-        return self.codeword.bits.bit(self.block_position(block_j, shares))
-
     def params(self) -> Dict[str, object]:
         return {
             "n": self.x.n,

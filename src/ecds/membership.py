@@ -557,9 +557,6 @@ class BlockCodedMembership:
             raise ParameterError("index out of range")
         return np.divmod(self._placed[i - 1], self.a)
 
-    def block_counts(self, i: int) -> np.ndarray:
-        return np.bincount(self.placement(i)[0], minlength=self.b)
-
     def good_blocks(self, i: int) -> Dict[int, int]:
         """Blocks holding exactly one element of P_i: block -> local bit."""
         held, bit = self.placement(i)

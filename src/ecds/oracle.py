@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -205,21 +203,6 @@ class ProbeOracle:
             raise ParameterError("probe position %d outside [1, %d]" % (j, self._bits.n))
         self.used += 1
         return self._bits.bit(j) ^ (j in self._flips)
-
-
-class RecordingOracle(ProbeOracle):
-    """ProbeOracle that also records the sequence of positions read."""
-
-    __slots__ = ("trace",)
-
-    def __init__(self, codeword, pattern, budget):
-        super().__init__(codeword, pattern, budget)
-        self.trace: List[int] = []
-
-    def probe(self, j: int) -> int:
-        out = super().probe(j)
-        self.trace.append(j)
-        return out
 
 
 class Scheme:
@@ -419,15 +402,6 @@ class SwapCounts:
         self.counts, self._swap = self._next, None
 
 
-@dataclass(frozen=True)
-class ProbeSlot:
-    """Distribution of the k-th probe: usage probability and, conditional
-    on the slot being used, a pmf over positions that sums to one."""
-
-    usage: Fraction
-    pmf: Dict[int, Fraction]
-
-
 def _check_enumerable(count: int, limit: int) -> None:
     if count > limit:
         raise EnumerationLimitError(
@@ -460,29 +434,18 @@ def read_plan(scheme: Scheme, query, coins: np.ndarray, word: BitString):
     return positions, combine(bits)
 
 
-def probe_distribution(
-    scheme: Scheme, query, limit: int = EXACT_STATE_LIMIT
-) -> List[ProbeSlot]:
-    """Exact per-slot probe distributions, by enumerating the coin space.
-
-    Slot k is column k of the plan, read on the uncorrupted word.  Raises
-    EnumerationLimitError when the coin space exceeds `limit`.
-    """
+def probe_mass(scheme: Scheme, query, limit: int = EXACT_STATE_LIMIT) -> np.ndarray:
+    """Probe mass per position, as int64: entry j - 1 counts the (coin
+    tuple, probe slot) pairs whose plan reads position j, on the clean
+    word.  Raises EnumerationLimitError when the coin space exceeds
+    `limit`, and refuses a bad plan as read_plan does."""
     count = scheme.coin_count(query)
     _check_enumerable(count, limit)
-    slot_counts: List[Counter] = []
+    word = scheme.codeword.bits
+    mass = np.zeros(word.n + 1, dtype=np.int64)
     for coins in coin_chunks(scheme.coin_radices(query), count):
-        positions, _ = read_plan(scheme, query, coins, scheme.codeword.bits)
-        slot_counts += [Counter() for _ in range(positions.shape[1] - len(slot_counts))]
-        for counts, column in zip(slot_counts, positions.T):
-            counts.update(column[column > 0].tolist())
-    slots = []
-    for counts in slot_counts:
-        used = sum(counts.values())
-        if used:
-            pmf = {pos: Fraction(c, used) for pos, c in sorted(counts.items())}
-            slots.append(ProbeSlot(usage=Fraction(used, count), pmf=pmf))
-    return slots
+        mass += np.bincount(read_plan(scheme, query, coins, word)[0].ravel(), minlength=word.n + 1)
+    return mass[1:]  # bin 0 counts the unused slots
 
 
 def count_wrong(scheme: Scheme, query, chunks: Iterable[np.ndarray], word: BitString) -> int:

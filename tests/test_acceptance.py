@@ -188,7 +188,7 @@ def test_criterion_03_share_algebra():
                 total = 0
                 acc = 0
                 for j in range(1, p + 1):
-                    total ^= sch.table_bit(j, shares)
+                    total ^= sch.codeword.bits.bit(sch.block_position(j, shares))
                 for w in shares:
                     acc ^= w
                 if total != sch.p_x_copies(acc):

@@ -84,6 +84,27 @@ def test_ip_bounds_refuse_radius_outside_length(r):
     assert ip_comm_lower_bound(4, 4, Fraction(1, 2)).value == pytest.approx(4.0)
 
 
+def test_length_bound_past_float_range_is_refused():
+    """A length bound past the float range is refused, at p = 1 (the
+    exact value) and at p > 1 (2^exponent), where both overflowed; one
+    just inside it is still evaluated."""
+    with pytest.raises(InfeasibleSizeError, match="float range"):
+        ip_ds_lower_bound(2000, 2000, 0, 1)
+    with pytest.raises(InfeasibleSizeError, match="float range"):
+        ip_ds_lower_bound(2100, 2100, 0, 2)
+    assert ip_ds_lower_bound(2000, 2000, 0, 2).value == pytest.approx(2.0**998.5)
+    assert ip_ds_lower_bound(1000, 1000, 0, 1).value == 2.0**998
+
+
+def test_ball_refusal_names_a_negative_length():
+    with pytest.raises(ParameterError, match="need n >= 0, got -1"):
+        ip_ds_lower_bound(-1, 0, 0, 1)
+    with pytest.raises(ParameterError, match="need n >= 0, got -1"):
+        ip_comm_lower_bound(-1, 0, Fraction(1, 4))
+    with pytest.raises(ParameterError, match="need n >= 0, got -1"):
+        membership_trivial_lb(-1, 0)
+
+
 def test_ball_sum_refused_past_desk_time(monkeypatch):
     """A ball is summed only while r + 1 binomials times the largest's bit
     length stays within 2^24, about a second: B(4095, 4095) is summed,
@@ -255,6 +276,31 @@ def test_discrepancy_verify_matches_rectangle_loop(monkeypatch, scale, n, r):
     assert rep.mode == ("sample" if n == 4 else "exhaustive")
     assert (rep.checked, rep.violations, rep.max_ratio) == loop_discrepancy(m, n, rectangles)
     assert (rep.violations > 0) == (scale > 1)
+    assert rep.orthogonal == check_orthogonality(n, r) == (scale == 1)
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (4, 4)])
+def test_discrepancy_orthogonality_matches_integer_gram(monkeypatch, n, r):
+    """The float64 Gram check, a block of columns at a time, refuses a
+    matrix with one entry negated as the int64 M^T M check does."""
+    import ecds.bounds as bounds
+
+    m = signed_ip_matrix(n, r)
+    m[-1, -1] *= -1
+    monkeypatch.setattr(bounds, "signed_ip_matrix", lambda n, r: m)
+    monkeypatch.setattr(bounds, "BLOCK_ENTRIES", 2 * m.shape[1])
+    assert not check_orthogonality(n, r)
+    assert not discrepancy_verify(n, r, samples=10).orthogonal
+
+
+def test_discrepancy_blocks_leave_the_report_unchanged(monkeypatch):
+    """Sampled rectangles and Gram rows taken a few at a time give the
+    report that one block gives."""
+    import ecds.bounds as bounds
+
+    whole = discrepancy_verify(5, 3, samples=301, seed=3)
+    monkeypatch.setattr(bounds, "BLOCK_ENTRIES", 3 * 58)
+    assert discrepancy_verify(5, 3, samples=301, seed=3) == whole
 
 
 def test_discrepancy_sampling_needs_samples():

@@ -80,6 +80,26 @@ def test_bounds_ball_past_desk_time_exits_4_at_once(capsys, argv):
     assert json.loads(err)["error"] == "InfeasibleSizeError"
 
 
+@pytest.mark.parametrize("argv", ["--n 200000 --r 300", "--n 4095 --r 4095 --p 2"])
+def test_bounds_ip_past_float_range_exits_4(capsys, argv):
+    code, out, err = run(capsys, "bounds", "ip", *argv.split())
+    assert code == 4 and out == ""
+    body = json.loads(err)
+    assert body["error"] == "InfeasibleSizeError" and "float range" in body["message"]
+
+
+def test_bounds_ip_negative_length_names_n(capsys):
+    code, out, err = run(capsys, "bounds", "ip", "--n", "-1", "--r", "0")
+    assert code == 3 and out == ""
+    assert json.loads(err)["message"] == "need n >= 0, got -1"
+
+
+def test_bounds_discrepancy_echoes_its_seed(capsys, monkeypatch):
+    monkeypatch.setenv("ECDS_SEED", "5")
+    body = run_json(capsys, "bounds", "discrepancy", "--n", "3", "--r", "1", "--samples", "50")
+    assert body["inputs"]["seed"] == body["config"]["seed"] == 5
+
+
 def test_bounds_missing_flag_exits_3(capsys):
     code, out, err = run(capsys, "bounds", "one-probe", "--eps", "0.25")
     assert code == 3

@@ -33,11 +33,11 @@ from ecds.oracle import (
     Codeword,
     CorruptionPattern,
     ProbeOracle,
-    RecordingOracle,
     corrupt,
     exact_error,
-    probe_distribution,
+    probe_mass,
 )
+from helpers import RecordingOracle
 
 
 def brute_encode(s, xv):
@@ -128,18 +128,7 @@ def test_every_pair_at_exactly_half_distance():
     words = [code.encode(BitString.from_int(3, v)) for v in range(8)]
     for a, b in itertools.combinations(words, 2):
         assert (a ^ b).weight == 4
-    assert code.min_distance() == 4
-
-
-def test_position_roundtrip():
-    code = HadamardCode(4)
-    for z in range(16):
-        pos = code.position_of(z)
-        assert code.query_of_position(pos).value == z
-    with pytest.raises(ParameterError):
-        code.position_of(16)
-    with pytest.raises(ParameterError):
-        code.query_of_position(0)
+    assert code.length // 2 == 4
 
 
 def test_size_guard():
@@ -326,12 +315,9 @@ def test_exact_error_agrees_with_pair_counts():
 
 
 def test_probe_distribution_uniform():
+    # both slots used by all 4 coins, each reading every position once
     sch = HadamardIp(BitString.from01("01"))
-    slots = probe_distribution(sch, BitString.from01("11"))
-    assert len(slots) == 2
-    for slot in slots:
-        assert slot.usage == 1
-        assert slot.pmf == {j: Fraction(1, 4) for j in (1, 2, 3, 4)}
+    assert probe_mass(sch, BitString.from01("11")).tolist() == [2, 2, 2, 2]
 
 
 def majority_error(p: Fraction, t: int) -> Fraction:
@@ -451,7 +437,7 @@ def test_linear_code_encode_is_linear():
 def test_hadamard_equality_code_is_balanced():
     code = HadamardCode(3)
     assert code.gamma == 0
-    assert code.min_distance() == 4
+    assert code.length // 2 == 4
     assert code.describe() == {"kind": "hadamard", "s": 3, "length": 8}
     x = BitString.from01("110")
     word = code.encode(x)

@@ -24,7 +24,8 @@ from ecds.inner_product import (
     substring_length,
     table_ip_length,
 )
-from ecds.oracle import CorruptionPattern, RecordingOracle, exact_error
+from ecds.oracle import CorruptionPattern, exact_error
+from helpers import RecordingOracle
 
 
 # -- plain table ------------------------------------------------------
@@ -158,7 +159,8 @@ def test_poly_share_identity_exhaustive_p2():
     rm = sch.r * sch.m
     for w1 in range(1 << rm):
         for w2 in range(1 << rm):
-            total = sch.table_bit(1, [w1, w2]) ^ sch.table_bit(2, [w1, w2])
+            bits, block = sch.codeword.bits, sch.block_position
+            total = bits.bit(block(1, [w1, w2])) ^ bits.bit(block(2, [w1, w2]))
             assert total == sch.p_x_copies(w1 ^ w2)
 
 
@@ -169,7 +171,7 @@ def test_poly_share_identity_exhaustive_p3():
     for shares in itertools.product(range(1 << rm), repeat=3):
         total = 0
         for j in (1, 2, 3):
-            total ^= sch.table_bit(j, shares)
+            total ^= sch.codeword.bits.bit(sch.block_position(j, shares))
         assert total == sch.p_x_copies(shares[0] ^ shares[1] ^ shares[2])
 
 

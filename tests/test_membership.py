@@ -30,7 +30,7 @@ from ecds.membership import (
     OneProbeMembership,
     probe_params,
 )
-from ecds.oracle import CorruptionPattern, corrupt, exact_error, probe_distribution
+from ecds.oracle import CorruptionPattern, corrupt, exact_error, probe_mass
 from ecds.seeding import derive_seed, stream
 from ecds.storage import save_structure
 
@@ -216,13 +216,12 @@ def test_hand_decode_error_is_overlap_fraction():
 def test_probe_distribution_uniform_over_probe_set():
     st = hand_structure()
     inst = st.instance(BitString.from01("01"))
-    (slot,) = probe_distribution(inst, 2)
-    assert slot.usage == 1
-    assert slot.pmf == {j: Fraction(1, 5) for j in (4, 5, 6, 7, 8)}
+    # one slot, used by all 5 coins, each reading its own element of P_2
+    assert probe_mass(inst, 2).tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
 
 
 def corrupt_bits(y, pattern):
-    return y.flip(pattern.positions)
+    return y ^ BitString.from_indices(y.n, pattern.positions)
 
 
 def test_noise_shifts_error_by_hit_count():
@@ -550,7 +549,7 @@ def hand_composed():
 def test_hand_composed_block_geometry():
     st = hand_composed()
     assert st.b == 4 and st.length == 16
-    assert list(st.block_counts(1)) == [1, 1, 0, 0]
+    assert list(np.bincount(st.placement(1)[0], minlength=st.b)) == [1, 1, 0, 0]
     assert st.good_blocks(1) == {1: 1, 2: 1}
     assert st.good_blocks(2) == {3: 1, 4: 1}
     assert st.good_indices == (1, 2)
@@ -846,7 +845,7 @@ def test_composed_placement_matches_per_index_divmod(make):
         held, e = np.divmod(st.perm[st.base._sets0[i - 1]], st.a)
         counts = np.bincount(held, minlength=st.b)
         alone = {int(k) + 1: int(b) + 1 for k, b in zip(held, e) if counts[k] == 1}
-        assert st.block_counts(i).tolist() == counts.tolist()
+        assert np.bincount(st.placement(i)[0], minlength=st.b).tolist() == counts.tolist()
         assert list(st.good_blocks(i).items()) == sorted(alone.items())
         good += [i] if 4 * len(alone) >= st.b else []
         units = 1 << (st.a - 1 - e)
@@ -914,7 +913,7 @@ def test_block_killer_matches_parity_loop(make, shared_blocks):
     x = BitString.from_indices(st.public_n, [st.good_indices[0]])
     # blocks holding several elements of a probe set go first
     assert shared_blocks == any(
-        st.block_counts(i).max() > 1 for i in range(1, st.public_n + 1)
+        np.bincount(st.placement(i)[0], minlength=st.b).max() > 1 for i in range(1, st.public_n + 1)
     )
     half = st.code.length // 2
     budgets = (0, 1, half // 2 + 1, half, half + 1, st.code.length, st.b * st.code.length + 3)

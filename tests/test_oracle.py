@@ -14,12 +14,12 @@ from ecds.oracle import (
     Codeword,
     CorruptionPattern,
     ProbeOracle,
-    RecordingOracle,
     Scheme,
     corrupt,
     exact_error,
-    probe_distribution,
+    probe_mass,
 )
+from helpers import RecordingOracle
 
 
 def test_corrupt_frozen_example():
@@ -222,12 +222,11 @@ def test_exact_error_enumerates_coins():
 
 def test_probe_distribution_uniform_toy():
     toy = ParityToy(BitString.from01("1"))
-    slots = probe_distribution(toy, None)
-    assert len(slots) == 1
-    slot = slots[0]
-    assert slot.usage == Fraction(1)
-    assert slot.pmf == {1: Fraction(1, 2), 2: Fraction(1, 2)}
-    assert sum(slot.pmf.values()) == 1
+    # one slot, used by both coins, each reading its own position
+    mass = probe_mass(toy, None)
+    assert mass.dtype == np.int64
+    assert mass.tolist() == [1, 1]
+    assert mass.sum() == toy.coin_count(None)
 
 
 class HugeCoinToy(ParityToy):

@@ -27,13 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecds import hadamard
-from ecds.bits import BitString, dot_mod2, extract_substring
+from ecds.bits import BitString, dot_mod2
 from ecds.errors import ParameterError
 from ecds.hadamard import HadamardIp, MajorityAmplified, PairReadScheme, pair_read_counter
 from ecds.harness import AdversaryStrategy, attack, estimate_error
 from ecds.inner_product import SubstringHadamard
 from ecds.membership import BlockCodedMembership, ComposedInstance, OneProbeMembership
 from ecds.oracle import CorruptionPattern, coin_chunks, corrupt, count_wrong, exact_error
+from helpers import extract_substring
 
 
 def _bits(text):

@@ -32,14 +32,14 @@ from ecds.membership import BlockCodedMembership, OneProbeMembership
 from ecds.oracle import (
     Codeword,
     CorruptionPattern,
-    RecordingOracle,
     Scheme,
     coin_chunks,
     corrupt,
     exact_error,
-    probe_distribution,
+    probe_mass,
     read_plan,
 )
+from helpers import RecordingOracle
 
 
 def _bits(text):
@@ -184,11 +184,45 @@ def test_default_wrong_counts_match_coin_tally(name, make, queries):
             assert got == [(c, w) if c <= limit else None for w, c in zip(tally, counts)]
 
 
+def trace_tally(scheme, query):
+    """Reads per position over every coin, traced through the oracle on
+    the clean word, entry j - 1 for position j."""
+    tally = np.zeros(scheme.codeword.n, dtype=np.int64)
+    for idx in range(scheme.coin_count(query)):
+        oracle = RecordingOracle(scheme.codeword, CorruptionPattern.empty(), scheme.probe_budget(query))
+        scheme.decode_with_coins(oracle, query, scheme.coin_from_index(query, idx))
+        np.add.at(tally, np.array(oracle.trace, dtype=np.int64) - 1, 1)
+    return tally
+
+
+@pytest.mark.parametrize("name, make, queries", INSTANCES, ids=[i[0] for i in INSTANCES])
+def test_probe_mass_matches_trace_tally(name, make, queries):
+    scheme = make()
+    for query in queries:
+        mass = probe_mass(scheme, query)
+        assert mass.dtype == np.int64 and mass.shape == (scheme.codeword.n,)
+        assert mass.tolist() == trace_tally(scheme, query).tolist()
+
+
+def test_probe_mass_spread():
+    # had-ip: each position read by exactly 2 of the 2^s coins, for every y
+    sch = HadamardIp(X)
+    for y in _all(3):
+        assert probe_mass(sch, y).tolist() == [2] * 8
+    # mem-1p: each position of P_i read once, nothing else
+    inst = _member().instance(BitString.from_indices(8, [3]))
+    for i in (1, 3, 8):
+        expect = np.zeros(inst.codeword.n, dtype=np.int64)
+        expect[np.array(inst.structure.probe_set(i)) - 1] = 1
+        assert probe_mass(inst, i).tolist() == expect.tolist()
+
+
 def test_probe_distribution_skips_unread_slots():
     # no good block for index 1: the block decoder never reads
     inst = _hand_composed().instance(_bits("10"), decoder="block")
-    assert probe_distribution(inst, 1) == []
-    assert len(probe_distribution(inst, 2)) == 2
+    assert not probe_mass(inst, 1).any()
+    # index 2's good blocks 3 and 4: half its 32 coins read two positions there
+    assert probe_mass(inst, 2).tolist() == [0] * 8 + [4] * 8
 
 
 class PlanToy(Scheme):
@@ -233,7 +267,7 @@ def test_batch_route_refuses_bad_plans(positions, budget, error):
     with pytest.raises(error):
         exact_error(toy, None, empty)
     with pytest.raises(error):
-        probe_distribution(toy, None)
+        probe_mass(toy, None)
     with pytest.raises(error):
         estimate_error(toy, queries=[None], trials=10, exact_limit=1)
     with pytest.raises(error):
