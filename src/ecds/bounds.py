@@ -161,7 +161,9 @@ def membership_trivial_lb(n: int, s: int) -> BoundReport:
 
 def signed_ip_matrix(n: int, r: int) -> np.ndarray:
     """The 2^n x B(n,r) sign matrix with (x,y)-entry (-1)^(x.y), columns
-    ordered lexicographically by y."""
+    ordered lexicographically by y, as int8: each caller casts it once
+    to the type its products need.  x and y fit in uint16 (n <= 12), so
+    no temporary is wider than two bytes an entry."""
     if n > MATRIX_MAX_N:
         raise InfeasibleSizeError("sign matrix limited to n <= %d" % MATRIX_MAX_N)
     cols = _ball(n, r)
@@ -169,18 +171,18 @@ def signed_ip_matrix(n: int, r: int) -> np.ndarray:
         raise InfeasibleSizeError(
             "sign matrix limited to %d columns" % MATRIX_MAX_COLS
         )
-    ys = np.fromiter(
-        (v.value for v in BoundedWeightSpace(n, r)), dtype=np.uint64, count=cols
-    )
-    xs = np.arange(1 << n, dtype=np.uint64)
-    par = np.bitwise_count(xs[:, None] & ys[None, :]) & 1
-    return (1 - 2 * par.astype(np.int64)).astype(np.int64)
+    ys = np.fromiter((v.value for v in BoundedWeightSpace(n, r)), dtype=np.uint16, count=cols)
+    signs = np.bitwise_count(np.arange(1 << n, dtype=np.uint16)[:, None] & ys).view(np.int8)
+    signs &= 1
+    signs *= -2
+    signs += 1
+    return signs
 
 
 def check_orthogonality(n: int, r: int) -> bool:
     """Exact check that the sign matrix satisfies M^T M = 2^n I, in int64:
     the reference for discrepancy_verify's float64 check."""
-    m = signed_ip_matrix(n, r)
+    m = signed_ip_matrix(n, r).astype(np.int64)
     g = m.T @ m
     want = (1 << n) * np.eye(g.shape[0], dtype=np.int64)
     return bool((g == want).all())

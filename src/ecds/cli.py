@@ -75,7 +75,7 @@ def make_scheme(cfg: Dict, seed: int):
         raise ParameterError("unknown scheme %r (choose from %s)" % (scheme_id, ", ".join(SCHEMES)))
     if "n" not in cfg or cfg["n"] is None:
         raise ParameterError("--n is required to build a scheme")
-    n = cfg["n"]
+    n = integer(cfg["n"], "an integer n", -math.inf)
 
     def data() -> BitString:
         """--x, or bits drawn from the seed (a set of at most s members for membership)."""
@@ -132,6 +132,8 @@ def _given(cfg: Dict, *keys: str) -> Dict:
 def pick_queries(scheme, selector: str, seed: int) -> List:
     """Query selection: 'all', 'sample:K' or a comma-separated list, never
     empty and never more than MAX_QUERIES."""
+    if not isinstance(selector, str):
+        raise ParameterError("need a query selector string, got %r" % (selector,))
     if selector == "all":
         out = list(islice(scheme.queries(), MAX_QUERIES + 1))
     elif selector.startswith("sample:"):
@@ -244,8 +246,11 @@ def _run_experiment(cfg: Dict) -> "ExperimentReport":
     if not isinstance(cfg, dict):
         raise ParameterError("a sweep cell must be a JSON object, got %r" % (cfg,))
     seed = integer(cfg.get("seed", 0), "an integer seed", -math.inf)
-    if cfg.get("structure"):
-        scheme = load_structure(cfg["structure"])
+    structure = cfg.get("structure")
+    if not isinstance(structure, (str, type(None))):
+        raise ParameterError("need a structure file name, got %r" % (structure,))
+    if structure:
+        scheme = load_structure(structure)
     else:
         scheme = make_scheme(cfg, seed)
     budget = cfg.get("budget")

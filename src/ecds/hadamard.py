@@ -74,20 +74,20 @@ class HadamardCode:
 
         For s >= 3 they are built as packed bytes in one pass: position
         8q + r of v's codeword is parity(r & v) ^ parity(q & (v >> 3)), so
-        byte q is byte 0 (the first eight bits), inverted when
-        q & (v >> 3) has odd weight, and each further bit of q doubles the
-        bytes filled so far.  Shorter codewords are packed bit by bit."""
+        the first 64 positions are packed from their parities, and for
+        2^k <= q < 2^(k+1) byte q is byte q - 2^k, inverted when bit k + 3
+        of v is set.  Shorter codewords are packed bit by bit."""
         values = np.asarray(values, dtype=np.int64).reshape(-1)
         if values.size and (values.min() < 0 or values.max() >= self.length):
             raise ParameterError("message value out of range")
-        head = (np.bitwise_count(values[:, None] & np.arange(min(self.length, 8))) & 1).astype(np.uint8)
+        head = (np.bitwise_count(values[:, None] & np.arange(min(self.length, 64))) & 1).astype(np.uint8)
         if self.s < 3:
             return BitString.from_bit_array(head.ravel())
         out = np.empty((len(values), self.length // 8), dtype=np.uint8)
-        out[:, 0] = np.packbits(head, axis=1)[:, 0]
-        for k in range(self.s - 3):
-            invert = ((values >> (k + 3)) & 1).astype(np.uint8) * np.uint8(0xFF)
-            np.bitwise_xor(out[:, : 1 << k], invert[:, None], out=out[:, 1 << k : 2 << k])
+        out[:, : min(self.length, 64) // 8] = np.packbits(head, axis=1)
+        invert = ((values[:, None] >> np.arange(3, self.s)) & 1).astype(np.uint8) * np.uint8(0xFF)
+        for k in range(min(self.s, 6) - 3, self.s - 3):
+            np.bitwise_xor(out[:, : 1 << k], invert[:, k, None], out=out[:, 1 << k : 2 << k])
         return BitString(len(values) * self.length, out.tobytes())
 
     def encode(self, x: BitString) -> BitString:
@@ -207,9 +207,11 @@ def xor_all(bits: np.ndarray) -> np.ndarray:
 
 class PairReadScheme(Scheme):
     """A decoder of Hadamard pieces read in pairs, described once: a
-    subclass implements reads(queries), which checks a batch of queries
-    and returns its PairReads, and the probe budget, coin digits, probe
-    plan, truth and exact wrong counts (of a batch at once) follow."""
+    subclass implements reads(queries), which checks a batch of queries,
+    and the probe budget, coin digits, probe plan, truth, exact wrong
+    counts (of a batch at once) and block_killer follow."""
+
+    attacks = ("block_killer",)
 
     def reads(self, queries) -> PairReads:
         raise NotImplementedError
@@ -285,6 +287,32 @@ class PairReadScheme(Scheme):
 
     def swap_counts(self, queries, positions, limit: int) -> "PairSwapCounts":
         return PairSwapCounts(self, queries, positions, limit)
+
+    def block_killer(self, budget: int, target=None) -> np.ndarray:
+        """Invert the target's reads whose clean read is right (by default
+        the first query with a nonzero unit), and no other read of it.
+        A piece's mask m ORs the lowest set bit of each such unit: the ones
+        of m's codeword flip one probe of read (z, z ^ u) at every z when
+        u.m is odd, none when it is even, so every kept read is inverted
+        where a piece's units are unit vectors or it has one read.  Pieces
+        go most kept reads first, half their length each, to the budget."""
+        if target is None:
+            target = next((q for q in self.queries() if self.reads([q]).unit.any()), None)
+            if target is None:
+                raise ParameterError("%s has no query with a read to invert" % self.name)
+        r = self.reads([target])
+        clean = np.frombuffer(self.codeword.bits._data, dtype=np.uint8)
+        keep = (r.unit > 0) & (packed_bits(clean, r.base + r.unit) == r.truth[:, None])
+        base, unit = r.base[keep], r.unit[keep]
+        pieces, kept = np.unique(base, return_counts=True)
+        masks = np.zeros(len(pieces), dtype=np.int64)
+        np.bitwise_or.at(masks, np.searchsorted(pieces, base), unit & -unit)
+        budget = max(budget, 0)
+        order = np.argsort(-kept, kind="stable")[: -(-budget // (r.length // 2))]
+        words = HadamardCode(r.length.bit_length() - 1).encode_blocks(masks[order])
+        # every nonzero mask's codeword has length / 2 ones
+        ones = np.flatnonzero(words.to_bit_array().view(bool)).reshape(len(order), r.length // 2)
+        return (ones + (pieces[order] - r.length * np.arange(len(order)) + 1)[:, None]).ravel()[:budget]
 
 
 class ReadTable(NamedTuple):

@@ -147,7 +147,7 @@ class SubstringHadamard(LowWeightQueries, PairReadScheme):
     name = "substring-hadamard"
     kind = "substring"
     header_fields = ("r", "t")
-    attacks = ("piece_killer",)
+    attacks = ("piece_killer", "block_killer")
 
     def __init__(self, x: BitString, r: int, t: int = 1):
         substring_length(x.n, r, t)

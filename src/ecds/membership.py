@@ -47,7 +47,7 @@ from .errors import (
     integer,
 )
 from .hadamard import HadamardCode, PairReads, PairReadScheme, xor_all
-from .oracle import Codeword, Scheme, packed_bits
+from .oracle import Codeword, Scheme
 from .seeding import derive_seed
 
 # bytes that one chunk of supports in `OneProbeMembership.verify` may take
@@ -413,6 +413,9 @@ class IndexQueries(Scheme):
     """Queries are indices into the encoded set x, written in decimal."""
 
     def parse_query(self, text: str) -> int:
+        """An index written in ASCII decimal digits and nothing else."""
+        if not (text.isascii() and text.isdigit()):
+            raise ParameterError("need an index in decimal digits, got %r" % (text,))
         query = int(text)
         self.check_query(query)
         return query
@@ -637,7 +640,6 @@ class ComposedInstance(PairReadScheme, IndexQueries):
     """
 
     kind = "membership-composed"
-    attacks = ("block_killer",)
 
     def __init__(self, structure, x, codeword, agreements, decoder="block"):
         if decoder not in ("block", "direct"):
@@ -701,37 +703,6 @@ class ComposedInstance(PairReadScheme, IndexQueries):
         if st.good_indices:
             return rng.choice(st.good_indices)
         return rng.randrange(1, st.public_n + 1)
-
-    def block_killer(self, budget: int, target=None) -> np.ndarray:
-        """Flip the inner-code positions that invert the target index's
-        bits (the first good index by default), block by block, heaviest
-        blocks first, in the blocks its decoder reads: every block that
-        holds elements of P_i for the direct decoder; for the block
-        decoder only the good blocks whose clean read is still right, as
-        it answers a coin elsewhere and inverting a wrong read helps it."""
-        st = self.structure
-        if target is None:
-            target = st.good_indices[0] if st.good_indices else 1
-        held, bit = st.placement(target)
-        units = 1 << (st.a - 1 - bit)
-        if self.decoder == "block":
-            clean = np.frombuffer(self.codeword.bits._data, dtype=np.uint8)
-            right = packed_bits(clean, held * st.code.length + units) == self.x.bit(target)
-            keep = st._alone[target - 1] & right
-            held, units = held[keep], units[keep]
-        counts = np.bincount(held, minlength=st.b)
-        local_masks = np.zeros(st.b, dtype=np.int64)
-        np.bitwise_or.at(local_masks, held, units)
-        blocks = np.flatnonzero(counts)
-        blocks = blocks[np.argsort(-counts[blocks], kind="stable")]
-        # every nonzero local mask inverts exactly half of its block
-        budget = max(budget, 0)
-        blocks = blocks[: -(-budget // (st.code.length // 2))]
-        flips = []
-        for k in blocks:
-            word = st.code.encode(BitString.from_int(st.a, int(local_masks[k])))
-            flips.append(k * st.code.length + 1 + np.flatnonzero(word.to_bit_array()))
-        return np.concatenate([np.empty(0, dtype=np.int64), *flips])[:budget]
 
     def params(self) -> Dict[str, object]:
         out = self.structure.params()

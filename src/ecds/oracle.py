@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -77,9 +78,10 @@ class CorruptionPattern:
 
     @staticmethod
     def budget(delta: float, n: int) -> int:
-        """Largest number of flips allowed at noise rate delta, a rate in [0, 1]."""
-        if not 0 <= delta <= 1:
-            raise ParameterError("noise rate %r is not in [0, 1]" % delta)
+        """Largest number of flips allowed at noise rate delta, a real
+        number (not a bool) in [0, 1]."""
+        if isinstance(delta, bool) or not isinstance(delta, Real) or not 0 <= delta <= 1:
+            raise ParameterError("noise rate %r is not a number in [0, 1]" % (delta,))
         return math.floor(delta * n)
 
     @property

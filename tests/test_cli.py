@@ -484,6 +484,27 @@ def test_sweep_records_bad_seed_and_non_object_cell(tmp_path, capsys, bad, error
     assert cells[1]["report"]["seed"] == -3
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [({"structure": 1}, "need a structure file name, got 1"), ({"structure": 0}, "need a structure file name, got 0"),
+     ({"delta": True}, "noise rate True is not a number in [0, 1]"), ({"queries": 7}, "need a query selector string, got 7"),
+     ({"n": True}, "need an integer n, got True")],
+    ids=["structure-1", "structure-0", "delta-true", "queries-7", "n-true"],
+)
+def test_sweep_records_cells_of_the_wrong_type(tmp_path, capsys, bad, error):
+    """A cell whose structure or queries is not a string, whose delta is
+    a bool, or whose n is not an int records a ParameterError, and the
+    cell beside it still reports: structure 1 once read and closed
+    stdout and ended the sweep with exit 6, delta true was the rate 1,
+    queries 7 an AttributeError and n true a had-ip of length 2."""
+    cell = {"scheme": "had-ip", "n": 3, "x": "101", "queries": "all", "trials": 10, "adversary": "random_flips"}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([dict(cell, **bad), cell]))
+    cells = run_json(capsys, "sweep", "--grid", str(grid))
+    assert cells[0]["error"] == "ParameterError: " + error
+    assert cells[1]["report"]["length"] == 8
+
+
 @pytest.mark.parametrize("flags", [("--trials", "0"), ("--budget", "-1"), ("--trials", "-5", "--budget", "2")])
 def test_experiment_trials_and_budget_out_of_range_exit_3(capsys, flags):
     code, out, err = run(capsys, "experiment", "--scheme", "had-ip", "--n", "4", "--adversary", "random_flips", *flags)
@@ -943,6 +964,44 @@ def test_build_past_desk_scale_is_refused_before_the_data(tmp_path, capsys, alar
     path = tmp_path / "x.ecds"
     assert_refused(capsys, 4, ["build", *argv, "--out-file", str(path)], "InfeasibleSizeError")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("query", [" 3", "1_0", "+3"])
+def test_index_queries_are_decimal_digits_only(tmp_path, capsys, query):
+    """An index query is ASCII decimal digits: a space, an underscore or
+    a sign, which int() takes, exits 3 where it once answered."""
+    path = str(tmp_path / "m.ecds")
+    run_json(capsys, "build", "--scheme", "mem-1p", *SCHEME_FLAGS["mem-1p"], "--out-file", path)
+    assert run_json(capsys, "decode", "--structure", path, "--query", "3")["query"] == "3"
+    assert_refused(capsys, 3, ["decode", "--structure", path, "--query", query], "ParameterError")
+
+
+def test_failed_build_exits_5(tmp_path, capsys):
+    """A composed build that finds no verifying probe-set family exits 5
+    with its error object and writes no file."""
+    path = tmp_path / "c.ecds"
+    code, out, err = run(capsys, "build", "--scheme", "mem-composed", "--n", "8", "--s", "4", "--out-file", str(path))
+    assert (code, out) == (5, "")
+    body = json.loads(err)
+    assert (body["error"], body["code"]) == ("ConstructionError", 5)
+    assert body["message"].startswith("no verifying probe-set family")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("scheme", ["mem-1p", "mem-composed"])
+def test_sampled_index_queries_are_in_range_and_repeat(tmp_path, capsys, scheme):
+    """sample:K on a membership file draws indices in 1..n (good indices
+    for composed), with repeats, and the same bytes for the same seed."""
+    path = str(tmp_path / "m.ecds")
+    run_json(capsys, "build", "--scheme", scheme, *SCHEME_FLAGS[scheme], "--out-file", path)
+    argv = ["experiment", "--structure", path, "--queries", "sample:40", "--seed", "4"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    allowed = ecds.load_structure(path).queries() if scheme == "mem-composed" else range(1, 9)
+    queries = [int(r["query"]) for r in json.loads(out)["results"]]
+    assert len(queries) == 40 and set(queries) <= set(allowed)
+    assert len(set(queries)) < 40
+    assert run(capsys, *argv)[1] == out
 
 
 def test_sampled_queries_are_capped_like_all(capsys, alarm):

@@ -3,8 +3,8 @@
 estimate_error and exact_error ask the scheme's wrong_counts for every
 query and enumerate nothing themselves, so small coin spaces are no
 longer tallied coin by coin during measurement.  On toy instances of
-every decoder, under the empty pattern, random flips and the scheme's
-killer (or a targeted greedy climb where it has none), each exact count
+every decoder, under the empty pattern, random flips, the scheme's
+killers and a targeted greedy climb, each exact count
 they report must equal the per-coin tally through the probe plan
 (count_wrong over coin_chunks; tests/test_plan.py ties that to the
 scalar oracle).  Reports keep their results as columns: the views they
@@ -97,11 +97,9 @@ def _strategies(scheme, queries):
     yield AdversaryStrategy(kind="random_flips", budget=max(1, n // 8), seed=3)
     for kind in scheme.attacks:  # re-aimed at each query
         yield AdversaryStrategy(kind=kind, budget=max(1, n // 8), seed=3)
-    if not scheme.attacks:
-        yield AdversaryStrategy(
-            kind="greedy_local", budget=max(1, n // 8), seed=3, target=queries[0],
-            eval_proposals=10,
-        )
+    yield AdversaryStrategy(
+        kind="greedy_local", budget=max(1, n // 8), seed=3, target=queries[0], eval_proposals=10,
+    )
 
 
 @pytest.mark.parametrize("name, make, queries", INSTANCES, ids=[i[0] for i in INSTANCES])

@@ -859,19 +859,25 @@ def test_composed_placement_matches_per_index_divmod(make):
         assert 0 < len(good) < st.public_n
 
 
-def killed_blocks(inst, target):
+def killed_blocks(inst, target, clean=True):
     """The blocks block_killer attacks, as block -> local mask of the
-    target's probe-set elements there: every block holding one for the
-    direct decoder; for the block decoder the good blocks (one element)
-    whose clean codeword read at that element's unit gives x's bit."""
+    target's probe-set elements there, most elements first: for the block
+    decoder the good blocks (one element) whose clean codeword read at
+    that element's unit gives x's bit; for the direct decoder every block
+    holding an element whose clean read gives x's bit, counting only
+    those.  clean=False gives the direct decoder's blocks as its killer
+    chose them before it was derived from the reads: every block holding
+    an element, counting them all."""
     st = inst.structure
+    length, truth = st.code.length, inst.x.bit(target)
     masks, held = {}, {}
     for p0 in st.perm[st.base._sets0[target - 1]]:
-        k = int(p0) // st.a
-        masks[k] = masks.get(k, 0) ^ (1 << (st.a - 1 - int(p0) % st.a))
-        held[k] = held.get(k, 0) + 1
+        k, unit = int(p0) // st.a, 1 << (st.a - 1 - int(p0) % st.a)
+        right = inst.codeword.bits.bit(k * length + unit + 1) == truth
+        if inst.decoder == "block" or right or not clean:
+            masks[k] = masks.get(k, 0) ^ unit
+            held[k] = held.get(k, 0) + 1
     if inst.decoder == "block":
-        length, truth = st.code.length, inst.x.bit(target)
         masks = {
             k: v for k, v in masks.items()
             if held[k] == 1 and inst.codeword.bits.bit(k * length + v + 1) == truth
@@ -879,7 +885,7 @@ def killed_blocks(inst, target):
     return {k: masks[k] for k in sorted(masks, key=lambda k: (-held[k], k))}
 
 
-def parity_loop_block_killer(inst, budget, target=None):
+def parity_loop_block_killer(inst, budget, target=None, clean=True):
     """block_killer as first written: per attacked block, heaviest first,
     the local mask of the target's probe-set elements, then one parity
     test per offset."""
@@ -887,7 +893,7 @@ def parity_loop_block_killer(inst, budget, target=None):
     if target is None:
         target = st.good_indices[0] if st.good_indices else 1
     out = []
-    for k, v in killed_blocks(inst, target).items():
+    for k, v in killed_blocks(inst, target, clean).items():
         if len(out) >= budget:
             break
         base = k * st.code.length
@@ -924,5 +930,10 @@ def test_block_killer_matches_parity_loop(make, shared_blocks):
                 got = inst.block_killer(budget, target).tolist()
                 assert got == parity_loop_block_killer(inst, budget, target)
                 assert len(got) == min(budget, half * held)
+                if inst.decoder == "direct":
+                    # skipping reads that are wrong already never helps the decoder
+                    q = target or st.good_indices[0]
+                    old = parity_loop_block_killer(inst, budget, target, clean=False)
+                    assert exact_error(inst, q, CorruptionPattern(got)) >= exact_error(inst, q, CorruptionPattern(old))
     with pytest.raises(ParameterError):
         inst.block_killer(4, st.public_n + 1)

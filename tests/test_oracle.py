@@ -50,6 +50,15 @@ def test_pattern_validation_and_budget():
     assert CorruptionPattern.budget(0.05, 59) == 2
 
 
+@pytest.mark.parametrize("delta", [True, False, "0.1", None, [0.1], float("nan"), -0.1, 1.5])
+def test_budget_refuses_rates_that_are_not_numbers_in_range(delta):
+    """A bool (once read as the rate 1 or 0), a string, a missing rate or
+    one outside [0, 1] is refused; any real number in range is taken."""
+    with pytest.raises(ParameterError, match="not a number in"):
+        CorruptionPattern.budget(delta, 8)
+    assert [CorruptionPattern.budget(d, 8) for d in (1, Fraction(1, 2), np.float64(0.25))] == [8, 4, 2]
+
+
 @pytest.mark.parametrize(
     "flips, positions",
     [

@@ -153,9 +153,66 @@ def test_pair_read_decoders_describe_only_their_reads(cls):
     from PairReadScheme alone, and so does the greedy climb's swap
     scorer; no other base class shadows them."""
     assert "reads" in vars(cls)
-    derived = ("plan", "wrong_counts", "swap_counts", "coin_radices", "probe_budget", "truth")
+    derived = ("plan", "wrong_counts", "swap_counts", "coin_radices", "probe_budget", "truth", "block_killer")
     assert [name for name in derived if name in vars(cls)] == []
     assert [name for name in derived if getattr(cls, name) is not getattr(PairReadScheme, name)] == []
+
+
+PAIR_INSTANCES = [i for i in INSTANCES if not i[0].startswith("majority")]
+
+
+@pytest.mark.parametrize("name, make, queries", PAIR_INSTANCES, ids=[i[0] for i in PAIR_INSTANCES])
+def test_block_killer_inverts_exactly_the_reads_that_are_right(name, make, queries):
+    """With the whole codeword as its budget, block_killer turns every
+    read of its target whose clean read is right into one that is wrong
+    at every offset, and leaves each other read of the target as it is
+    clean: a unit-0 read, or one that is wrong already."""
+    scheme = make()
+    for q in queries:
+        r = scheme.reads([q])
+        flips = CorruptionPattern(scheme.block_killer(scheme.codeword.n, q))
+        reads = (r.base.ravel(), r.unit.ravel(), np.repeat(r.truth, r.unit.shape[1]), r.length)
+        before = pair_read_counter(scheme.codeword, CorruptionPattern.empty())(*reads)
+        after = pair_read_counter(scheme.codeword, flips)(*reads)
+        kept = (reads[1] > 0) & (before == 0)
+        assert (after[kept] == r.length).all() and (after[~kept] == before[~kept]).all()
+        assert flips.weight == r.length // 2 * len(np.unique(reads[0][kept]))
+
+
+@pytest.mark.parametrize("s", [3, 5, 7])
+def test_block_killer_reaches_twice_delta_on_had_ip(s):
+    """On had-ip, block_killer(k, y) flips k positions, each the probe of
+    two coins of y and no coin's two probes together: exact error 2k/2^s,
+    the paper's bound 2*delta, for every y != 0 and k up to half the
+    codeword."""
+    scheme = HadamardIp(BitString.random(s, random.Random(s)))
+    for y in _all(s)[1:]:
+        for k in range((1 << (s - 1)) + 1):
+            flips = CorruptionPattern(scheme.block_killer(k, y))
+            assert flips.weight == k
+            assert exact_error(scheme, y, flips) == Fraction(2 * k, 1 << s)
+
+
+def test_block_killer_default_target_and_kinds():
+    """Untargeted, block_killer aims at the first query with a read at a
+    nonzero unit, and refuses a scheme without one; every pair-read
+    decoder carries it."""
+    had = HadamardIp(_bits("1011"))
+    assert had.block_killer(3).tolist() == had.block_killer(3, _bits("0001")).tolist()
+    sub = SubstringHadamard(SUB_X, 3)
+    assert sub.block_killer(5).tolist() == sub.block_killer(5, next(q for q in sub.queries() if q.weight)).tolist()
+    composed = _built_composed().instance(BitString.from_indices(16, [2]), "direct")
+    first = composed.structure.good_indices[0]
+    assert composed.block_killer(40).tolist() == composed.block_killer(40, first).tolist()
+    # both probe sets lie in block 1: no index is good, so none is a query
+    base = OneProbeMembership(n=2, s=1, eps=0.4, probe_sets=[(1, 2), (3, 4)], n_prime=8)
+    crowded = BlockCodedMembership(2, base, list(range(8)), a=4)
+    assert crowded.good_indices == ()
+    for decoder in ("block", "direct"):
+        with pytest.raises(ParameterError, match="no query"):
+            crowded.instance(_bits("10"), decoder).block_killer(4)
+    assert (HadamardIp.attacks, ComposedInstance.attacks) == (("block_killer",),) * 2
+    assert SubstringHadamard.attacks == ("piece_killer", "block_killer")
 
 
 @lru_cache(maxsize=None)
